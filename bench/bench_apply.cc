@@ -1,17 +1,15 @@
-// Block-apply throughput benchmark (DESIGN.md §13): serial apply vs the
-// order-then-execute wave scheduler at pool sizes {1, 2, 4}, across three
-// conflict shapes — non-conflicting (unique first-column keys: one wave),
-// 50%-conflicting (half the block shares one hot key) and all-conflicting
-// (every transaction hits the same key: one wave per transaction, the
-// graceful-degradation bound). Each transaction carries a simulated
-// execution cost (ChainOptions::execute_cost_micros — stored procedures /
-// off-chain reads), the component the scheduler overlaps across a wave;
-// apply time is read from TxnSchedulerStats::apply_micros so the figure
-// isolates the apply pipeline from block building and segment appends.
-// Headline criteria: >= 2.5x apply throughput at pool 4 on the
-// non-conflicting shape, and all-conflicting within ~10% of serial.
-// Writes a JSON summary to $SEBDB_BENCH_JSON (default BENCH_apply.json).
-#include <atomic>
+// Block-apply cost benchmark (DESIGN.md §13): times IndexSet::ApplyBlock —
+// the one path every block takes into the indexes — on BChainBench donate
+// blocks at pool sizes {none, 1, 2, 4}. The set holds the system SenID/Tname
+// layered indexes and ALIs plus a continuous (amount) and a discrete
+// (project) user layered index, each with its ALI, so every transaction is
+// extracted for four targets and encoded + SHA-256 hashed once for the
+// ALIs. No simulated work: the figure is real extract + merge cost, with
+// block building and storage left out (blocks are built once in memory).
+// Each configuration runs `kTrials` fresh index sets; the median is
+// reported. Writes a JSON summary to $SEBDB_BENCH_JSON (default
+// BENCH_apply.json).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,213 +19,126 @@
 
 #include "bchainbench/bench_chain.h"
 #include "common/thread_pool.h"
-#include "core/txn_scheduler.h"
-#include "storage/file.h"
 
 namespace sebdb {
 namespace bench {
 namespace {
 
-constexpr uint32_t kExecuteCostMicros = 200;
-constexpr int kTxnsPerBlock = 32;
+constexpr int kTxnsPerBlock = 100;  // BChainBench's default block size
+constexpr int kTrials = 5;
 
-enum class Shape { kNonConflicting, kHalfConflicting, kAllConflicting };
-
-const char* ShapeName(Shape s) {
-  switch (s) {
-    case Shape::kNonConflicting: return "non_conflicting";
-    case Shape::kHalfConflicting: return "half_conflicting";
-    case Shape::kAllConflicting: return "all_conflicting";
+// BChainBench donate blocks: 50 senders, 1000 donors, 20 projects, amounts
+// drawn uniformly — the shape the paper's query figures index.
+std::vector<Block> MakeDonateBlocks(int blocks) {
+  Random rng(42);
+  std::vector<Block> out;
+  Timestamp ts = 0;
+  for (int b = 0; b < blocks; b++) {
+    BlockBuilder builder;
+    builder.SetHeight(b).SetTimestamp(ts).SetFirstTid(
+        1 + static_cast<TransactionId>(b) * kTxnsPerBlock);
+    for (int i = 0; i < kTxnsPerBlock; i++) {
+      Transaction txn = MakeBenchTxn(
+          "donate", "user" + std::to_string(rng.Uniform(50)),
+          {Value::Str("d" + std::to_string(rng.Uniform(1000))),
+           Value::Str("proj" + std::to_string(rng.Uniform(20))),
+           Value::Int(static_cast<int64_t>(rng.Uniform(100000)))});
+      txn.set_ts(ts += 10);
+      builder.AddTransaction(std::move(txn));
+    }
+    out.push_back(std::move(builder).Build("sig"));
   }
-  return "?";
+  return out;
 }
 
-Transaction MakeApplyTxn(const std::string& key, Timestamp ts) {
-  Transaction txn("t", {Value::Str(key), Value::Int(ts % 1000)});
-  txn.set_sender("org" + std::to_string(ts % 4));
-  txn.set_ts(ts);
-  txn.set_signature("bench-sig");
-  return txn;
-}
-
-std::string KeyFor(Shape shape, int block, int i) {
-  switch (shape) {
-    case Shape::kNonConflicting:
-      return "b" + std::to_string(block) + "_k" + std::to_string(i);
-    case Shape::kHalfConflicting:
-      return i % 2 == 0 ? "hot"
-                        : "b" + std::to_string(block) + "_k" +
-                              std::to_string(i);
-    case Shape::kAllConflicting:
-      return "hot";
-  }
-  return "k";
-}
-
-struct RunResult {
-  uint64_t txns = 0;
-  double apply_ms = 0;        // cumulative scheduler time, data blocks only
-  double per_block_ms = 0;
-  double txns_per_sec = 0;
-  double waves_per_block = 0;
-};
-
-// Builds a fresh chain and applies `blocks` blocks of the given shape,
-// reading apply time from the scheduler's own counters.
-RunResult RunWorkload(Shape shape, bool serial, int pool_threads,
-                      int blocks) {
-  static std::atomic<uint64_t> run_counter{0};
-  const std::string dir = "/tmp/sebdb_bench_apply_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(run_counter.fetch_add(1));
-  (void)RemoveDirRecursive(dir);
-  if (!CreateDirIfMissing(dir).ok()) abort();
-
-  std::unique_ptr<ThreadPool> pool;
-  ChainOptions options;
-  options.verify_signatures = false;
-  options.serial_apply = serial;
-  options.execute_cost_micros = kExecuteCostMicros;
-  if (pool_threads > 0) {
-    pool = std::make_unique<ThreadPool>(pool_threads);
-    options.pool = pool.get();
-  }
-  ChainManager chain("bench-node", nullptr);
-  if (!chain.Open(options, dir).ok()) abort();
-
-  Schema schema;
-  if (!Schema::Create(
-           "t", {{"k", ValueType::kString}, {"v", ValueType::kInt64}},
-           &schema)
+// One fresh index set (system indexes + ALIs, two user indexes + ALIs)
+// taking every block through ApplyBlock; returns the apply wall time.
+double ApplyMillis(const std::vector<Block>& blocks, ThreadPool* pool) {
+  IndexSet indexes(/*store=*/nullptr);
+  if (!indexes
+           .CreateLayeredIndex("donate", "amount",
+                               Schema::kNumSystemColumns + 2,
+                               /*discrete=*/false)
+           .ok() ||
+      !indexes
+           .CreateLayeredIndex("donate", "project",
+                               Schema::kNumSystemColumns + 1,
+                               /*discrete=*/true)
            .ok()) {
     abort();
   }
-  Transaction schema_txn = Catalog::MakeSchemaTransaction(schema);
-  schema_txn.set_sender("admin");
-  schema_txn.set_ts(10);
-  schema_txn.set_signature("bench-sig");
-  std::vector<Transaction> setup;
-  setup.push_back(std::move(schema_txn));
-  if (!chain.AppendBatch(0, std::move(setup), 10, "sig").ok()) abort();
-
-  const TxnSchedulerStats before = chain.apply_stats();
-  Timestamp ts = 100;
-  for (int b = 0; b < blocks; b++) {
-    std::vector<Transaction> txns;
-    for (int i = 0; i < kTxnsPerBlock; i++) {
-      txns.push_back(MakeApplyTxn(KeyFor(shape, b, i), ts));
-      ts += 10;
-    }
-    const uint64_t seq = chain.height() - 1;
-    if (!chain.AppendBatch(seq, std::move(txns), ts, "sig").ok()) abort();
+  WallTimer timer;
+  for (const Block& block : blocks) {
+    if (!indexes.ApplyBlock(block, pool).ok()) abort();
   }
-  const TxnSchedulerStats after = chain.apply_stats();
-
-  RunResult result;
-  result.txns = static_cast<uint64_t>(blocks) * kTxnsPerBlock;
-  result.apply_ms = (after.apply_micros - before.apply_micros) / 1000.0;
-  result.per_block_ms = result.apply_ms / blocks;
-  result.txns_per_sec =
-      result.apply_ms > 0 ? result.txns / (result.apply_ms / 1000.0) : 0;
-  if (!serial && after.blocks > before.blocks) {
-    result.waves_per_block = static_cast<double>(after.waves - before.waves) /
-                             (after.blocks - before.blocks);
-  }
-  if (!chain.Close().ok()) abort();
-  (void)RemoveDirRecursive(dir);
-  return result;
+  return timer.ElapsedMicros() / 1000.0;
 }
 
 struct Config {
   const char* name;
-  bool serial;
-  int pool_threads;
+  int pool_threads;  // 0: no pool
 };
 
 void Main() {
   const int scale = BenchScale();
-  const int blocks = 16 * scale;
+  const int num_blocks = 200 * scale;
   const char* json_path_env = std::getenv("SEBDB_BENCH_JSON");
   const std::string json_path =
       json_path_env != nullptr ? json_path_env : "BENCH_apply.json";
 
   ReportHeader("apply",
-               "block apply: serial vs wave-scheduled at pools {1,2,4}, "
-               "non/50%/all-conflicting, " +
-                   std::to_string(kExecuteCostMicros) +
-                   "us simulated execute cost per txn");
+               "IndexSet::ApplyBlock on BChainBench donate blocks, pools "
+               "{none,1,2,4}; system + 2 user layered indexes, all with ALI");
+  const std::vector<Block> blocks = MakeDonateBlocks(num_blocks);
+  const uint64_t txns = static_cast<uint64_t>(num_blocks) * kTxnsPerBlock;
 
   const Config configs[] = {
-      {"serial", true, 0},
-      {"sched_pool1", false, 1},
-      {"sched_pool2", false, 2},
-      {"sched_pool4", false, 4},
-  };
-  const Shape shapes[] = {Shape::kNonConflicting, Shape::kHalfConflicting,
-                          Shape::kAllConflicting};
+      {"nopool", 0}, {"pool1", 1}, {"pool2", 2}, {"pool4", 4}};
 
   std::string json = "{\n  \"bench\": \"apply\",\n  \"scale\": " +
-                     std::to_string(scale) +
-                     ",\n  \"execute_cost_micros\": " +
-                     std::to_string(kExecuteCostMicros) +
-                     ",\n  \"txns_per_block\": " +
+                     std::to_string(scale) + ",\n  \"txns_per_block\": " +
                      std::to_string(kTxnsPerBlock) + ",\n  \"blocks\": " +
-                     std::to_string(blocks) + ",\n  \"runs\": [\n";
-
-  double serial_nc_ms = 0, pool4_nc_ms = 0;
-  double serial_ac_ms = 0, pool4_ac_ms = 0;
+                     std::to_string(num_blocks) + ",\n  \"trials\": " +
+                     std::to_string(kTrials) + ",\n  \"runs\": [\n";
+  double nopool_ms = 0, pool4_ms = 0;
   bool first = true;
-  for (Shape shape : shapes) {
-    for (const Config& config : configs) {
-      const RunResult r = RunWorkload(shape, config.serial,
-                                      config.pool_threads, blocks);
-      ReportPoint("apply", ShapeName(shape), config.name, "txns_per_sec",
-                  r.txns_per_sec);
-      ReportPoint("apply", ShapeName(shape), config.name, "per_block_ms",
-                  r.per_block_ms);
-      char buf[320];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    {\"workload\": \"%s\", \"config\": \"%s\", \"txns\": %llu, "
-          "\"apply_ms\": %.3f, \"per_block_apply_ms\": %.3f, "
-          "\"txns_per_sec\": %.1f, \"waves_per_block\": %.2f}",
-          ShapeName(shape), config.name,
-          static_cast<unsigned long long>(r.txns), r.apply_ms,
-          r.per_block_ms, r.txns_per_sec, r.waves_per_block);
-      json += first ? "" : ",\n";
-      json += buf;
-      first = false;
-
-      if (shape == Shape::kNonConflicting && config.serial) {
-        serial_nc_ms = r.apply_ms;
-      }
-      if (shape == Shape::kNonConflicting && config.pool_threads == 4) {
-        pool4_nc_ms = r.apply_ms;
-      }
-      if (shape == Shape::kAllConflicting && config.serial) {
-        serial_ac_ms = r.apply_ms;
-      }
-      if (shape == Shape::kAllConflicting && config.pool_threads == 4) {
-        pool4_ac_ms = r.apply_ms;
-      }
+  for (const Config& config : configs) {
+    std::unique_ptr<ThreadPool> pool;
+    if (config.pool_threads > 0) {
+      pool = std::make_unique<ThreadPool>(config.pool_threads);
     }
+    std::vector<double> trials;
+    for (int t = 0; t < kTrials; t++) {
+      trials.push_back(ApplyMillis(blocks, pool.get()));
+    }
+    std::sort(trials.begin(), trials.end());
+    const double apply_ms = trials[trials.size() / 2];
+    const double per_block_us = apply_ms * 1000.0 / num_blocks;
+    const double txns_per_sec = apply_ms > 0 ? txns / (apply_ms / 1000.0) : 0;
+    ReportPoint("apply", "donate", config.name, "txns_per_sec", txns_per_sec);
+    ReportPoint("apply", "donate", config.name, "per_block_us", per_block_us);
+
+    char buf[320];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"config\": \"%s\", \"pool_threads\": %d, "
+                  "\"txns\": %llu, \"apply_ms\": %.3f, "
+                  "\"apply_ms_min\": %.3f, \"apply_ms_max\": %.3f, "
+                  "\"per_block_apply_us\": %.1f, \"txns_per_sec\": %.1f}",
+                  config.name, config.pool_threads,
+                  static_cast<unsigned long long>(txns), apply_ms,
+                  trials.front(), trials.back(), per_block_us, txns_per_sec);
+    json += first ? "" : ",\n";
+    json += buf;
+    first = false;
+    if (config.pool_threads == 0) nopool_ms = apply_ms;
+    if (config.pool_threads == 4) pool4_ms = apply_ms;
   }
 
-  // Headlines: parallel speedup where waves overlap, graceful degradation
-  // where they cannot.
-  const double speedup = pool4_nc_ms > 0 ? serial_nc_ms / pool4_nc_ms : 0;
-  const double degradation =
-      serial_ac_ms > 0 ? pool4_ac_ms / serial_ac_ms : 0;
-  ReportPoint("apply", "headline", "non_conflicting_pool4", "speedup_x",
-              speedup);
-  ReportPoint("apply", "headline", "all_conflicting_pool4",
-              "vs_serial_ratio", degradation);
-
-  char tail[160];
+  const double speedup = pool4_ms > 0 ? nopool_ms / pool4_ms : 0;
+  ReportPoint("apply", "headline", "pool4", "speedup_vs_nopool_x", speedup);
+  char tail[96];
   std::snprintf(tail, sizeof(tail),
-                "\n  ],\n  \"speedup_nonconflicting_pool4_x\": %.2f,\n"
-                "  \"allconflicting_pool4_vs_serial\": %.3f\n}\n",
-                speedup, degradation);
+                "\n  ],\n  \"speedup_pool4_vs_nopool_x\": %.2f\n}\n", speedup);
   json += tail;
 
   std::ofstream out(json_path);

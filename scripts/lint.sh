@@ -108,21 +108,6 @@ if [ -n "${clock_calls}" ]; then
   fail "clock read outside common/clock.* (use NowMicros/SteadyNowMicros):" "${clock_calls}"
 fi
 
-# The wave scheduler owns index ingestion: every block reaches the indexes
-# through TxnScheduler::Apply -> IndexSet::ApplyBlockScheduled, which
-# commits each transaction's deltas in block order (DESIGN.md §13). A
-# direct AddBlock / MergeTxnDeltas call anywhere else bypasses the
-# deterministic merge and needs a "serial-apply:" marker stating why serial
-# ingestion is correct there. The index/auth modules and the IndexSet merge
-# path itself are exempt.
-direct_ingest=$(grep -rnE '(\.|->)(AddBlock|MergeTxnDeltas)\(' \
-  src/ --include='*.h' --include='*.cc' \
-  | grep -v 'serial-apply:' \
-  | grep -vE '^src/(index|auth)/|^src/sql/index_set\.(h|cc):' || true)
-if [ -n "${direct_ingest}" ]; then
-  fail "direct index ingestion outside the apply scheduler without a \"serial-apply:\" marker (route blocks through TxnScheduler::Apply):" "${direct_ingest}"
-fi
-
 if [ "${failed}" -eq 0 ]; then
   note "lint: grep rules clean"
 fi

@@ -72,7 +72,14 @@ AuthenticatedLayeredIndex::AuthenticatedLayeredIndex(
     MbTree::Options mb_options)
     : layered_(std::move(name), options, extractor),
       extractor_(std::move(extractor)),
-      mb_options_(mb_options) {}
+      mb_options_(mb_options) {
+  // Built up front, never lazily: Tree() is const and runs concurrently
+  // from query workers.
+  if (options.materialized_cache_bytes > 0) {
+    rebuilt_ = std::make_unique<LruCache<uint64_t, const MbTree>>(
+        options.materialized_cache_bytes);
+  }
+}
 
 Status AuthenticatedLayeredIndex::SetHistogram(EqualDepthHistogram histogram) {
   return layered_.SetHistogram(std::move(histogram));
@@ -181,11 +188,7 @@ Status AuthenticatedLayeredIndex::RebuildTree(
     return Status::Corruption("rebuilt MB-tree root mismatch for block " +
                               std::to_string(bid));
   }
-  const uint64_t budget = layered_.options().materialized_cache_bytes;
-  if (tree != nullptr && budget > 0) {
-    if (rebuilt_ == nullptr) {
-      rebuilt_ = std::make_unique<LruCache<uint64_t, const MbTree>>(budget);
-    }
+  if (tree != nullptr && rebuilt_ != nullptr) {
     rebuilt_->Insert(bid, tree, charge);
   }
   *out = std::move(tree);

@@ -78,7 +78,7 @@ class AuthenticatedLayeredIndex {
   Status AddBlock(const Block& block);
 
   /// Merge step of the parallel apply pipeline: ingests one block from
-  /// deltas the execute phase prepared — `layered_entries` as
+  /// deltas the extract phase prepared — `layered_entries` as
   /// LayeredIndex::MergeTxnDeltas (block position order), `mb_entries` the
   /// per-covered-transaction (key, encoded record, precomputed SHA-256)
   /// triples in the same order. Stable-sorts by key and builds the MB-tree
@@ -164,9 +164,9 @@ class AuthenticatedLayeredIndex {
   uint64_t mem_base_ = 0;
   std::vector<std::shared_ptr<const MbTree>> block_trees_;
 
-  /// Rebuilt frozen-block trees, charged by encoded record bytes. Lazily
-  /// created; nullptr when the cache budget is zero.
-  mutable std::unique_ptr<LruCache<uint64_t, const MbTree>> rebuilt_;
+  /// Rebuilt frozen-block trees, charged by encoded record bytes
+  /// (internally synchronized); nullptr when the cache budget is zero.
+  std::unique_ptr<LruCache<uint64_t, const MbTree>> rebuilt_;
 };
 
 }  // namespace sebdb

@@ -68,7 +68,7 @@ class MbTree {
     Value key;
     std::string record;
     /// Precomputed SHA-256 of `record`. The parallel apply pipeline hashes
-    /// each transaction once on a worker during the execute phase and every
+    /// each transaction once on a worker during the extract phase and every
     /// MB-tree built from it skips re-hashing; when unset, Build hashes.
     Hash256 record_hash{};
     bool has_record_hash = false;

@@ -232,9 +232,9 @@ void KafkaOrderer::DeliverReady() {
         done_.erase(done_it);
       }
     }
-    // Invoke the commit hook and callbacks outside the lock. Execution of
-    // the ordered batch happens behind commit_fn_ through the shared
-    // order-then-execute apply scheduler (DESIGN.md §13).
+    // Invoke the commit hook and callbacks outside the lock. The ordered
+    // batch is applied behind commit_fn_ by ChainManager's single-pass
+    // block apply (DESIGN.md §13).
     mu_.Unlock();
     if (commit_fn_) commit_fn_(seq, std::move(batch));
     for (auto& done : to_fire) {

@@ -359,9 +359,9 @@ void PbftEngine::DeliverReadyLocked() {
       }
     }
     mu_.Unlock();
-    // The ordered batch executes behind commit_fn_ through the shared
-    // order-then-execute apply scheduler (DESIGN.md §13) — same code path
-    // as gossip apply and startup replay.
+    // The ordered batch is applied behind commit_fn_ by ChainManager's
+    // single-pass block apply (DESIGN.md §13) — same code path as gossip
+    // apply and startup replay.
     if (commit_fn_) commit_fn_(seq, std::move(batch));
     for (auto& done : to_fire) done(Status::OK());
     mu_.Lock();

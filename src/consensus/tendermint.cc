@@ -327,9 +327,8 @@ void TendermintEngine::MaybeCommitLocked() {
 
   mu_.Unlock();
   // Deliver hands the ordered batch to the application in one call; the
-  // execute stage lives behind commit_fn_ (ChainManager's order-then-execute
-  // scheduler, DESIGN.md §13), which applies non-conflicting transactions
-  // concurrently — so no per-txn serial DeliverTx spin here anymore.
+  // apply lives behind commit_fn_ (ChainManager's single-pass block apply,
+  // DESIGN.md §13), so there is no per-txn serial DeliverTx spin here.
   // CheckTx (Submit) keeps its serial cost model.
   if (commit_fn_) commit_fn_(seq, std::move(batch));
   for (auto& done : to_fire) done(Status::OK());

@@ -26,10 +26,8 @@ namespace sebdb {
 
 struct TendermintOptions {
   /// Simulated serial work per transaction in CheckTx (admission-side
-  /// validation). Deliver-side execution cost is no longer spun here: the
-  /// execute stage belongs to the application's apply scheduler (see
-  /// ChainOptions::execute_cost_micros), which overlaps it across
-  /// conflict-free transactions instead of serializing it.
+  /// validation). Deliver spins nothing: applying the ordered batch is the
+  /// application's block apply (ChainManager, DESIGN.md §13).
   int64_t serial_txn_cost_micros = 50;
   /// Proposal timeout: after this, the next round's proposer takes over.
   int64_t propose_timeout_millis = 1000;

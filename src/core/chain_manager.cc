@@ -10,11 +10,6 @@ Status ChainManager::Open(const ChainOptions& options,
   MutexLock lock(&mu_);
   if (open_) return Status::Busy("chain already open");
   options_ = options;
-  TxnSchedulerOptions scheduler_options;
-  scheduler_options.pool = options.pool;
-  scheduler_options.execute_cost_micros = options.execute_cost_micros;
-  scheduler_options.serial = options.serial_apply;
-  scheduler_ = std::make_unique<TxnScheduler>(scheduler_options);
   startup_ = StartupStats{};
   last_checkpoint_height_ = 0;
   state_sync_ = StateSyncStats{};
@@ -203,23 +198,21 @@ BufferManager::Stats ChainManager::buffer_stats() const {
   return pool_ != nullptr ? pool_->stats() : BufferManager::Stats{};
 }
 
-TxnSchedulerStats ChainManager::apply_stats() const {
-  return scheduler_ != nullptr ? scheduler_->stats() : TxnSchedulerStats{};
-}
-
 uint64_t ChainManager::checkpoints_written() const {
   MutexLock lock(&mu_);
   return checkpoints_written_;
 }
 
 Status ChainManager::ApplyBlock(const Block& block) {
-  // Order-then-execute scheduled apply (or the serial baseline when
-  // options_.serial_apply is set): indexes + catalog advance together,
-  // byte-identical to serial apply for any pool size. Startup replay,
-  // gossip apply and consensus apply all land here, so one scheduler
-  // covers every path a block reaches the indexes through.
-  Status s = scheduler_->Apply(block, indexes_.get(), &catalog_);
+  // Startup replay, gossip apply and consensus apply all land here: one
+  // parallel index pass, then the schema ops in block order (DESIGN.md
+  // §13). No transaction reads the catalog while the indexes extract, so
+  // the catalog walk can follow the index pass.
+  Status s = indexes_->ApplyBlock(block, options_.pool);
   if (!s.ok()) return s;
+  for (const auto& txn : block.transactions()) {
+    catalog_.MaybeApplySchemaTransaction(txn);
+  }
   tip_hash_ = block.header().block_hash;
   last_ts_ = block.header().timestamp;
   if (block.header().num_transactions > 0) {

@@ -23,7 +23,6 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/signer.h"
-#include "core/txn_scheduler.h"
 #include "sql/catalog.h"
 #include "sql/index_set.h"
 #include "storage/block_store.h"
@@ -51,19 +50,10 @@ struct ChainOptions {
   /// Verify every transaction signature when applying foreign blocks.
   bool verify_signatures = true;
   /// Worker pool for parallel startup replay, concurrent signature
-  /// verification and the scheduled block apply; nullptr runs all three
-  /// serially. SebdbNode defaults this to ThreadPool::Default() (see
+  /// verification and block apply; nullptr runs all three serially.
+  /// SebdbNode defaults this to ThreadPool::Default() (see
   /// DefaultNodeChainOptions).
   ThreadPool* pool = nullptr;
-  /// Force the legacy one-transaction-at-a-time apply instead of the
-  /// order-then-execute wave scheduler (DESIGN.md §13). Equivalence baseline
-  /// for tests and benches; production keeps the scheduler, which degrades
-  /// to the same cost on all-conflicting blocks and nullptr pools.
-  bool serial_apply = false;
-  /// Simulated per-transaction execution cost (micros) charged during block
-  /// apply — models stored-procedure / off-chain work per transaction so
-  /// benches can expose wave overlap. 0 (default) disables.
-  uint32_t execute_cost_micros = 0;
 };
 
 class ChainManager {
@@ -126,11 +116,6 @@ class ChainManager {
 
   /// Checkpoint page-pool counters (empty when the chain is not open).
   BufferManager::Stats buffer_stats() const;
-
-  /// Conflict-tracking counters of the block apply scheduler (waves/block,
-  /// conflict rate, cumulative apply wall time). Covers startup replay,
-  /// gossip apply and consensus apply — they share one scheduler.
-  TxnSchedulerStats apply_stats() const;
 
   /// Number of checkpoints written by this ChainManager since Open.
   uint64_t checkpoints_written() const;
@@ -228,9 +213,6 @@ class ChainManager {
   BlockStore store_;
   std::unique_ptr<IndexSet> indexes_;
   Catalog catalog_;
-  // Recreated at Open (options may change); stateless w.r.t. indexes_, so
-  // checkpoint-restore and state-sync swaps need no re-wiring.
-  std::unique_ptr<TxnScheduler> scheduler_;
   std::unique_ptr<BufferManager> pool_;
   std::unique_ptr<CheckpointManager> ckpt_ GUARDED_BY(mu_);
   StartupStats startup_ GUARDED_BY(mu_);

@@ -86,24 +86,6 @@ Status SebdbNode::Start(Network* network) {
             options_.node_id.c_str(),
             static_cast<unsigned long long>(startup.replayed_blocks));
   }
-  const TxnSchedulerStats apply = chain_.apply_stats();
-  if (apply.blocks > 0 && apply.txns > 0) {
-    // Replay runs through the same scheduler the live apply path uses;
-    // report how parallel the workload's history actually was.
-    fprintf(stderr,
-            "[sebdb] node %s: parallel apply — %llu block(s), %llu txn(s), "
-            "%.2f wave(s)/block, conflict rate %.1f%%, %llu schema "
-            "barrier(s), %llu conflict-free block(s)\n",
-            options_.node_id.c_str(),
-            static_cast<unsigned long long>(apply.blocks),
-            static_cast<unsigned long long>(apply.txns),
-            static_cast<double>(apply.waves) /
-                static_cast<double>(apply.blocks),
-            100.0 * static_cast<double>(apply.conflict_txns) /
-                static_cast<double>(apply.txns),
-            static_cast<unsigned long long>(apply.schema_barriers),
-            static_cast<unsigned long long>(apply.single_wave_blocks));
-  }
   const BufferManager::Stats pool_stats = chain_.buffer_stats();
   if (pool_stats.capacity > 0 && (pool_stats.pages > 0 || pool_stats.hits > 0 ||
                                   pool_stats.misses > 0)) {
@@ -304,24 +286,6 @@ void SebdbNode::Stop() {
               static_cast<unsigned long long>(mp.admission.peak_bytes),
               static_cast<unsigned long long>(mp.admission.state_transitions),
               OverloadStateName(mp.admission.state));
-    }
-  }
-  {
-    const TxnSchedulerStats apply = chain_.apply_stats();
-    if (apply.blocks > 0 && apply.txns > 0) {
-      fprintf(stderr,
-              "[sebdb] node %s: apply scheduler blocks=%llu txns=%llu "
-              "waves/block=%.2f conflict_rate=%.1f%% max_waves=%llu "
-              "apply_ms=%lld\n",
-              options_.node_id.c_str(),
-              static_cast<unsigned long long>(apply.blocks),
-              static_cast<unsigned long long>(apply.txns),
-              static_cast<double>(apply.waves) /
-                  static_cast<double>(apply.blocks),
-              100.0 * static_cast<double>(apply.conflict_txns) /
-                  static_cast<double>(apply.txns),
-              static_cast<unsigned long long>(apply.max_waves_in_block),
-              static_cast<long long>(apply.apply_micros / 1000));
     }
   }
   if (network_ != nullptr) network_->Unregister(options_.node_id);

@@ -102,10 +102,6 @@ class SebdbNode : public GossipDelegate {
   ChainManager::StartupStats startup_stats() const {
     return chain_.startup_stats();
   }
-  /// Block-apply scheduler counters: waves/block, conflict rate, schema
-  /// barriers, cumulative apply wall time (DESIGN.md §13). One scheduler
-  /// covers replay, gossip apply and consensus apply.
-  TxnSchedulerStats apply_stats() const { return chain_.apply_stats(); }
 
   ChainManager& chain() { return chain_; }
   /// The current executor; invalidated by a checkpoint state sync (use

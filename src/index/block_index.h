@@ -95,7 +95,7 @@ class BlockIndex {
   BlockIndex() : tree_(BlockIndexKeyCmp{}) {}
 
   /// Appends the entry for a newly chained block; heights must be dense and
-  /// ascending. During a scheduled apply this runs as one merge-phase task
+  /// ascending. During a block apply this runs as one merge-phase task
   /// under IndexSet::mu_ (DESIGN.md §13) — one task per independent index
   /// structure, so no two tasks touch the same BlockIndex concurrently.
   Status Add(const BlockHeader& header);

@@ -23,8 +23,8 @@ class EqualDepthHistogram {
   /// `num_buckets` buckets: (-inf, k1], (k1, k2], ..., (kp, +inf). Fewer
   /// buckets result when the sample has few distinct values. A continuous
   /// layered index bootstraps its histogram from the first block's entries
-  /// in transaction order (LayeredIndex::MergeTxnDeltas) — the scheduled
-  /// apply hands entries over in that same order, so boundaries are
+  /// in transaction order (LayeredIndex::MergeTxnDeltas) — the parallel
+  /// block apply hands entries over in that same order, so boundaries are
   /// byte-identical to a serial build.
   static Status Build(std::vector<Value> sample, size_t num_buckets,
                       EqualDepthHistogram* out);

@@ -160,10 +160,6 @@ Status LayeredIndex::Tree(BlockId bid,
   }
   const FrozenTreeRef& ref = frozen_[bid];
   if (ref.file_ordinal == FrozenTreeRef::kNoTree) return Status::OK();
-  if (materialized_ == nullptr && options_.materialized_cache_bytes > 0) {
-    materialized_ = std::make_unique<LruCache<uint64_t, const SecondLevelTree>>(
-        options_.materialized_cache_bytes);
-  }
   if (materialized_ != nullptr) {
     if (auto cached = materialized_->Lookup(bid)) {
       *out = std::move(cached);

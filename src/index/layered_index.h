@@ -85,7 +85,15 @@ class LayeredIndex {
                ColumnExtractor extractor)
       : name_(std::move(name)),
         options_(options),
-        extractor_(std::move(extractor)) {}
+        extractor_(std::move(extractor)) {
+    // Built up front, never lazily: Tree() is const and runs concurrently
+    // from parallel join workers.
+    if (options_.materialized_cache_bytes > 0) {
+      materialized_ =
+          std::make_unique<LruCache<uint64_t, const SecondLevelTree>>(
+              options_.materialized_cache_bytes);
+    }
+  }
 
   const std::string& name() const { return name_; }
   const LayeredIndexOptions& options() const { return options_; }
@@ -97,11 +105,11 @@ class LayeredIndex {
 
   /// Indexes a newly chained block: appends the first-level entry and
   /// bulk-loads the block's second-level tree. Blocks must arrive in order.
-  /// Extraction + MergeTxnDeltas; the scheduled apply path runs the two
-  /// halves on different threads (see IndexSet::ApplyBlockScheduled).
+  /// Extraction + MergeTxnDeltas; IndexSet::ApplyBlock runs the two halves
+  /// as separate parallel phases.
   Status AddBlock(const Block& block);
 
-  /// The installed extractor. The parallel apply pipeline's execute phase
+  /// The installed extractor. The parallel apply pipeline's extract phase
   /// runs it off-index into per-transaction delta slots, so the merge step
   /// can ingest a block without re-touching the transactions.
   const ColumnExtractor& extractor() const { return extractor_; }
@@ -110,8 +118,8 @@ class LayeredIndex {
   /// pre-extracted (value, block position) pairs, which MUST be in block
   /// position (= original transaction) order — exactly what AddBlock
   /// gathers. Sorting, histogram bootstrap, first-level update and the
-  /// bulk-load all happen here, so serial and scheduled apply share one
-  /// deterministic code path and produce byte-identical state.
+  /// bulk-load all happen here, so AddBlock and IndexSet::ApplyBlock share
+  /// one deterministic code path and produce byte-identical state.
   Status MergeTxnDeltas(uint64_t height,
                         std::vector<std::pair<Value, uint32_t>> entries);
 
@@ -210,10 +218,9 @@ class LayeredIndex {
   std::vector<std::shared_ptr<SecondLevelTree>> block_trees_;
 
   // Frozen trees materialized back into memory for merge joins, keyed by
-  // block id, charged by decoded bytes. Lazily created; nullptr when
-  // materialized_cache_bytes == 0.
-  mutable std::unique_ptr<LruCache<uint64_t, const SecondLevelTree>>
-      materialized_;
+  // block id, charged by decoded bytes (internally synchronized); nullptr
+  // when materialized_cache_bytes == 0.
+  std::unique_ptr<LruCache<uint64_t, const SecondLevelTree>> materialized_;
 
   uint64_t num_blocks_ = 0;
   size_t total_entries_ = 0;

@@ -46,14 +46,20 @@ Transaction Catalog::MakeSchemaTransaction(const Schema& schema) {
   return Transaction(kSchemaTable, {Value::Str(std::move(encoded))});
 }
 
-bool Catalog::DecodeSchemaTransaction(const Transaction& txn, Schema* out) {
-  if (txn.tname() != kSchemaTable || txn.values().size() != 1 ||
+namespace {
+
+// True when `txn` is a well-formed schema-sync transaction; decodes the
+// carried schema into *out without applying it.
+bool DecodeSchemaTransaction(const Transaction& txn, Schema* out) {
+  if (txn.tname() != Catalog::kSchemaTable || txn.values().size() != 1 ||
       txn.values()[0].type() != ValueType::kString) {
     return false;
   }
   Slice input(txn.values()[0].AsString());
   return Schema::DecodeFrom(&input, out).ok();
 }
+
+}  // namespace
 
 bool Catalog::MaybeApplySchemaTransaction(const Transaction& txn) {
   Schema schema;

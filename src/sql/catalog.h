@@ -34,13 +34,6 @@ class Catalog {
   /// the chain).
   bool MaybeApplySchemaTransaction(const Transaction& txn);
 
-  /// True when `txn` is a well-formed schema-sync transaction; decodes the
-  /// carried schema into *out without applying it. The transaction scheduler
-  /// uses this to type schema ops as table-level barriers when extracting
-  /// write footprints (DESIGN.md §13); MaybeApplySchemaTransaction applies
-  /// exactly the transactions this accepts.
-  static bool DecodeSchemaTransaction(const Transaction& txn, Schema* out);
-
   /// Checkpoint codec: all schemas in table-name order (deterministic bytes).
   void EncodeTo(std::string* dst) const;
   Status RestoreFrom(Slice* in);

@@ -74,81 +74,41 @@ void IndexSet::LoadManifest() {
   MutexLock lock(&mu_);
   while (stream >> table >> column >> schema_index >> discrete) {
     // Created before any block is replayed, so no backfill is needed; the
-    // replay loop feeds every block through AddBlock.
+    // replay loop feeds every block through ApplyBlock.
     CreateLayeredIndexLocked(table, column, schema_index, discrete != 0)
         .ok();
   }
 }
 
-void IndexSet::AppendManifest(const std::string& table,
-                              const std::string& column,
-                              int schema_column_index, bool discrete) {
-  if (options_.manifest_path.empty()) return;
+Status IndexSet::AppendManifest(const std::string& table,
+                                const std::string& column,
+                                int schema_column_index, bool discrete) {
+  if (options_.manifest_path.empty()) return Status::OK();
   std::unique_ptr<WritableFile> file;
-  if (!env()->NewWritableFile(options_.manifest_path, &file).ok()) return;
+  Status s = env()->NewWritableFile(options_.manifest_path, &file);
+  if (!s.ok()) return s;
+  const uint64_t old_size = file->size();
   std::string line = table + " " + column + " " +
                      std::to_string(schema_column_index) + " " +
                      (discrete ? "1" : "0") + "\n";
-  (void)file->Append(line);
-  (void)file->Sync();
-  (void)file->Close();
+  s = file->Append(line);
+  if (s.ok()) s = file->Sync();
+  Status closed = file->Close();
+  if (s.ok()) s = closed;
+  if (!s.ok()) {
+    // The record may still have reached the file; cut it off so a restart
+    // cannot resurrect an index this call reports as not created.
+    (void)env()->TruncateFile(options_.manifest_path, old_size);
+  }
+  return s;
 }
 
-Status IndexSet::AddBlock(const Block& block) {
-  MutexLock lock(&mu_);
-  if (block.height() != num_blocks_) {
-    return Status::InvalidArgument("index set blocks must arrive in order");
-  }
-  Status s = block_index_.Add(block.header());
-  if (!s.ok()) return s;
-  table_index_.AddBlock(block);
-  s = senid_index_->AddBlock(block);
-  if (!s.ok()) return s;
-  s = tname_index_->AddBlock(block);
-  if (!s.ok()) return s;
-  if (senid_ali_ != nullptr) {
-    s = senid_ali_->AddBlock(block);
-    if (!s.ok()) return s;
-  }
-  if (tname_ali_ != nullptr) {
-    s = tname_ali_->AddBlock(block);
-    if (!s.ok()) return s;
-  }
-  for (auto& [key, index] : user_indexes_) {
-    s = index.layered->AddBlock(block);
-    if (!s.ok()) return s;
-    if (index.ali != nullptr) {
-      s = index.ali->AddBlock(block);
-      if (!s.ok()) return s;
-    }
-  }
-  num_blocks_++;
-  return Status::OK();
-}
-
-Status IndexSet::ApplyBlockScheduled(
-    const Block& block, const std::vector<std::vector<uint32_t>>& waves,
-    ThreadPool* pool, const ScheduledApplyHooks& hooks) {
+Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
   MutexLock lock(&mu_);
   if (block.height() != num_blocks_) {
     return Status::InvalidArgument("index set blocks must arrive in order");
   }
   const auto& txns = block.transactions();
-
-  // The waves must partition [0, num txns): every delta slot below is
-  // written exactly once before the merge phase reads it.
-  std::vector<bool> covered(txns.size(), false);
-  for (const auto& wave : waves) {
-    for (uint32_t i : wave) {
-      if (i >= txns.size() || covered[i]) {
-        return Status::InvalidArgument("waves do not partition the block");
-      }
-      covered[i] = true;
-    }
-  }
-  for (bool c : covered) {
-    if (!c) return Status::InvalidArgument("waves do not partition the block");
-  }
 
   // Layered/ALI targets, pointer-stable for the whole apply (mu_ serializes
   // against CreateLayeredIndex; accessors hand out raw pointers, so the
@@ -166,10 +126,10 @@ Status IndexSet::ApplyBlockScheduled(
   }
   const size_t num_targets = targets.size();
 
-  // Execute phase: waves in order; within a wave, each transaction's
-  // footprint lands in its own slot — workers never share a slot, and the
-  // loop body takes no locks, so fanning out while holding mu_ is safe (the
-  // ParallelFor caller participates and drains its own chunks).
+  // Extract phase: each transaction's values land in its own slot — workers
+  // never share a slot, and the loop body takes no locks, so fanning out
+  // while holding mu_ is safe (the ParallelFor caller participates and
+  // drains its own chunks).
   struct Extracted {
     bool present = false;
     Value value;
@@ -181,39 +141,32 @@ Status IndexSet::ApplyBlockScheduled(
     bool has_record = false;
   };
   std::vector<TxnDelta> deltas(txns.size());
-  for (uint32_t w = 0; w < waves.size(); w++) {
-    const std::vector<uint32_t>& wave = waves[w];
-    auto execute_one = [&](uint64_t j) {
-      const uint32_t i = wave[j];
-      if (hooks.execute) hooks.execute(i);
-      TxnDelta& d = deltas[i];
-      d.values.resize(num_targets);
-      bool covered_by_ali = false;
-      for (size_t t = 0; t < num_targets; t++) {
-        d.values[t].present =
-            targets[t].layered->extractor()(txns[i], &d.values[t].value);
-        covered_by_ali |= d.values[t].present && targets[t].ali != nullptr;
-      }
-      if (covered_by_ali) {
-        txns[i].EncodeTo(&d.record);
-        d.record_hash = Sha256::Digest(d.record);
-        d.has_record = true;
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(wave.size(), execute_one,
-                        hooks.execute != nullptr ? 1 : 8);
-    } else {
-      for (uint64_t j = 0; j < wave.size(); j++) execute_one(j);
+  auto extract_one = [&](uint64_t i) {
+    TxnDelta& d = deltas[i];
+    d.values.resize(num_targets);
+    bool covered_by_ali = false;
+    for (size_t t = 0; t < num_targets; t++) {
+      d.values[t].present =
+          targets[t].layered->extractor()(txns[i], &d.values[t].value);
+      covered_by_ali |= d.values[t].present && targets[t].ali != nullptr;
     }
-    if (hooks.wave_done) hooks.wave_done(w);
+    if (covered_by_ali) {
+      txns[i].EncodeTo(&d.record);
+      d.record_hash = Sha256::Digest(d.record);
+      d.has_record = true;
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(txns.size(), extract_one, /*grain=*/8);
+  } else {
+    for (uint64_t i = 0; i < txns.size(); i++) extract_one(i);
   }
 
-  // Merge phase: each structure ingests the deltas in original transaction
-  // order (MergeTxnDeltas — the same code serial AddBlock runs after its
-  // gather), so the committed state is byte-identical to serial apply for
-  // any pool size. Structures are independent, so they fan out in parallel;
-  // order across structures does not affect any structure's bytes.
+  // Merge phase: each structure ingests the deltas in block order
+  // (MergeTxnDeltas — the same code the per-structure AddBlock runs after
+  // its gather), so the committed state is identical for any pool size.
+  // Structures are independent, so they fan out in parallel; order across
+  // structures does not affect any structure's bytes.
   const uint64_t height = block.height();
   std::vector<std::function<Status()>> merges;
   merges.push_back([&]() -> Status {
@@ -272,8 +225,11 @@ Status IndexSet::CreateLayeredIndex(const std::string& table,
   Status s =
       CreateLayeredIndexLocked(table, column, schema_column_index, discrete);
   if (!s.ok()) return s;
-  AppendManifest(table, column, schema_column_index, discrete);
-  return Status::OK();
+  s = AppendManifest(table, column, schema_column_index, discrete);
+  // Without its manifest record the index would vanish on the next restart
+  // that finds no checkpoint; report the failure instead of registering it.
+  if (!s.ok()) user_indexes_.erase(std::make_pair(table, column));
+  return s;
 }
 
 Status IndexSet::CreateLayeredIndexLocked(const std::string& table,

@@ -72,43 +72,21 @@ class IndexSet {
   /// already exist; may be nullptr if indices always precede data.
   IndexSet(BlockStore* store, IndexSetOptions options = IndexSetOptions());
 
-  /// Indexes a newly chained block in every structure. Must be called once
-  /// per block, in height order. Serial reference path; the production apply
-  /// flows through ApplyBlockScheduled (byte-identical state either way).
-  Status AddBlock(const Block& block);
-
-  /// Hooks of the scheduled (order-then-execute) apply; see
-  /// ApplyBlockScheduled.
-  struct ScheduledApplyHooks {
-    /// Runs on a worker for each transaction (by block position) during its
-    /// wave's execute phase — the seam where per-transaction execution work
-    /// (stored procedures, off-chain reads, simulated execute cost) lives.
-    std::function<void(uint32_t)> execute;
-    /// Runs on the calling thread after wave `w`'s deltas are complete and
-    /// before wave w+1 executes — the MVCC snapshot advance point (the
-    /// ChainManager applies the wave's schema ops to the catalog here).
-    std::function<void(uint32_t)> wave_done;
-  };
-
-  /// Order-then-execute parallel apply of one block (DESIGN.md §13).
-  /// `waves[w]` lists the block positions of wave w's transactions in
-  /// ascending order; together the waves must partition [0, num txns).
+  /// Indexes a newly chained block in every structure (DESIGN.md §13). Must
+  /// be called once per block, in height order. SEBDB transactions append
+  /// tuples and read no state, so the whole block is one parallel pass:
   ///
-  /// Execute phase: waves run in order; within a wave every transaction's
-  /// footprint — one extracted value per layered/ALI target plus the
-  /// encoded record and its SHA-256 (the MB-tree leaf) — is computed on the
-  /// pool into a private per-transaction delta slot. Transactions in one
-  /// wave are conflict-free by construction, so any interleaving is safe.
+  /// Extract: one ParallelFor over the transactions computes each one's
+  /// value for every layered/ALI target and, when an ALI covers it, the
+  /// encoded record and its SHA-256 (the MB-tree leaf), shared by every ALI.
+  /// Each transaction writes only its own slot.
   ///
-  /// Merge phase: every index ingests the deltas in original transaction
-  /// order (MergeTxnDeltas); independent indexes fan out across the pool.
-  /// The merge is deterministic, so the resulting bitmaps, trees, MB roots
-  /// and histograms are byte-identical to serial AddBlock for any pool size
-  /// — a nullptr pool runs the same code serially.
-  Status ApplyBlockScheduled(const Block& block,
-                             const std::vector<std::vector<uint32_t>>& waves,
-                             ThreadPool* pool,
-                             const ScheduledApplyHooks& hooks) EXCLUDES(mu_);
+  /// Merge: every structure ingests the slots in block order
+  /// (MergeTxnDeltas); independent structures fan out across the pool. The
+  /// merge is deterministic, so bitmaps, trees, MB roots and histograms are
+  /// byte-identical for any pool size — a nullptr pool runs the same code
+  /// serially.
+  Status ApplyBlock(const Block& block, ThreadPool* pool) EXCLUDES(mu_);
 
   uint64_t num_blocks() const;
 
@@ -125,7 +103,9 @@ class IndexSet {
   /// the column's position in the table schema (resolved by the caller from
   /// the catalog; must be an application-level column). When blocks already
   /// exist the index is backfilled: a first pass samples values for the
-  /// histogram (continuous only), a second pass indexes every block.
+  /// histogram (continuous only), a second pass indexes every block. When
+  /// the manifest record cannot be written durably, returns that error and
+  /// registers nothing.
   Status CreateLayeredIndex(const std::string& table,
                             const std::string& column,
                             int schema_column_index, bool discrete);
@@ -194,8 +174,8 @@ class IndexSet {
                                   int schema_column_index, bool discrete)
       REQUIRES(mu_);
   void LoadManifest() EXCLUDES(mu_);
-  void AppendManifest(const std::string& table, const std::string& column,
-                      int schema_column_index, bool discrete) REQUIRES(mu_);
+  Status AppendManifest(const std::string& table, const std::string& column,
+                        int schema_column_index, bool discrete) REQUIRES(mu_);
   Status OpenDeltaFiles(BufferManager* pool, const std::string& dir,
                         Slice* in, std::vector<std::string>* names,
                         std::vector<BufferManager::FileId>* ids);

@@ -450,9 +450,8 @@ TEST(ChaosTest, CrashMidRepairThenConverges) {
 // ---- crash mid-parallel-apply ----------------------------------------------
 
 // A cluster tuned so every node applies multi-transaction blocks through
-// the wave scheduler with a nonzero simulated execute cost: a stop is
-// likely to land while a block's waves are still in flight, interrupting
-// the parallel apply pipeline mid-block.
+// the parallel apply pipeline (extract fan-out, then per-structure merges):
+// a stop under continuous load can land while a block is mid-apply.
 class ParallelApplyCluster : public ChaosCluster {
  public:
   explicit ParallelApplyCluster(const std::string& tag)
@@ -460,11 +459,10 @@ class ParallelApplyCluster : public ChaosCluster {
   void Customize(NodeOptions* options) override {
     options->consensus_options.max_batch_txns = 8;  // multi-txn blocks
     options->consensus_options.batch_timeout_millis = 20;
-    options->chain.execute_cost_micros = 500;  // keep waves in flight
   }
 };
 
-// Stopping a node while the scheduler is executing a block's waves must
+// Stopping a node while it is applying a multi-transaction block must
 // leave it restartable with the PR 6 recovery invariants intact: the commit
 // point is the block append, so an interrupted apply either completed its
 // block or never persisted it — the restart replays/repairs to the cluster
@@ -526,11 +524,6 @@ TEST(ChaosTest, CrashMidParallelApplyThenConverges) {
   ASSERT_TRUE(
       WaitForHeight(cluster.node(3), cluster.node(0)->chain().height()));
   ExpectConverged(cluster.nodes(), cluster.acked());
-
-  // The restarted victim replayed through the scheduler, not a bypass.
-  const TxnSchedulerStats stats = cluster.node(3)->apply_stats();
-  EXPECT_GT(stats.blocks, 0u);
-  EXPECT_GE(stats.waves, stats.blocks);
 }
 
 // ---- checkpoint state sync -------------------------------------------------

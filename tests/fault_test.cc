@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "common/coding.h"
+#include "common/fault_env.h"
 #include "core/node.h"
 #include "core/thin_client.h"
 #include "storage/block_store.h"
@@ -439,6 +440,54 @@ TEST(FaultTest, AuthQuerySnapshotAcrossDivergentHeights) {
   EXPECT_EQ(records.size(), 7u);
   n0.Stop();
   n1.Stop();
+}
+
+// CREATE INDEX is durable only through its manifest record: with no
+// checkpoint, a restart recreates user indexes from the manifest alone. A
+// failed manifest sync must therefore fail the create and register nothing,
+// and a restart must not find the index either.
+TEST(FaultTest, CreateIndexFailsWhenManifestSyncFails) {
+  ScratchDir dir("fault_manifest");
+  FaultInjectionEnv env(Env::Default());
+  ChainOptions options;
+  options.verify_signatures = false;
+  options.store.env = &env;  // the index manifest shares the store's Env
+  const int v_column = Schema::kNumSystemColumns;
+  {
+    ChainManager chain("n0", nullptr);
+    ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+    std::vector<Transaction> txns;
+    for (int i = 0; i < 4; i++) {
+      txns.push_back(MakeTxn("t", "org", 10 + i, {Value::Int(i)}));
+    }
+    ASSERT_TRUE(chain.AppendBatch(0, std::move(txns), 13, "sig").ok());
+
+    env.SetFailSyncs(true);
+    Status s = chain.indexes()->CreateLayeredIndex("t", "v", v_column,
+                                                   /*discrete=*/false);
+    env.SetFailSyncs(false);
+    EXPECT_FALSE(s.ok());
+    EXPECT_FALSE(chain.indexes()->HasLayered("t", "v"));
+    EXPECT_EQ(chain.indexes()->GetLayered("t", "v"), nullptr);
+    ASSERT_TRUE(chain.Close().ok());
+  }
+  {
+    ChainManager chain("n0", nullptr);
+    ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+    EXPECT_FALSE(chain.startup_stats().from_checkpoint);
+    EXPECT_FALSE(chain.indexes()->HasLayered("t", "v"));
+    // The manifest is still well-formed: a retry succeeds and survives the
+    // next restart.
+    ASSERT_TRUE(chain.indexes()
+                    ->CreateLayeredIndex("t", "v", v_column,
+                                         /*discrete=*/false)
+                    .ok());
+    ASSERT_TRUE(chain.Close().ok());
+  }
+  ChainManager chain("n0", nullptr);
+  ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+  EXPECT_TRUE(chain.indexes()->HasLayered("t", "v"));
+  ASSERT_TRUE(chain.Close().ok());
 }
 
 }  // namespace

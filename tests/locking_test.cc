@@ -7,6 +7,9 @@
 //   - BlockStore::cache_stats()/recovery_stats() read guarded state (and
 //     per-counter LRU getters could tear a multi-counter snapshot).
 //   - BlockStore::Open mutated guarded members before taking mu_.
+//   - LayeredIndex::Tree() and AuthenticatedLayeredIndex::Tree() created
+//     their tree caches lazily inside const methods, racing concurrent
+//     readers of a restored index.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "core/chain_manager.h"
 #include "network/gossip.h"
 #include "network/sim_network.h"
 #include "storage/block.h"
@@ -162,6 +166,74 @@ TEST(BlockStoreLockingTest, ConcurrentOpenSerializes) {
   EXPECT_EQ(ok.load(), 1);
   EXPECT_EQ(busy.load(), 3);
   ASSERT_TRUE(store.Close().ok());
+}
+
+// Pre-fix: Tree() built the materialized-tree LruCache on first use of a
+// frozen block, in a const method with no lock, so the parallel on/off join
+// workers faulting trees of a checkpoint-restored index raced on the cache
+// pointer; the ALI twin's rebuilt MB-tree cache had the same shape. Both
+// caches are now built in the constructor. Four threads fault the same
+// frozen blocks' layered trees and rebuild their MB-trees, and must all see
+// the same trees.
+TEST(LayeredIndexLockingTest, ConcurrentTreeOnRestoredFrozenBlocks) {
+  ScratchDir dir("locking_tree");
+  ChainOptions options;
+  options.verify_signatures = false;
+  constexpr int kBlocks = 12;
+  {
+    ChainManager chain("locking", nullptr);
+    ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+    for (int b = 0; b < kBlocks; b++) {
+      std::vector<Transaction> txns;
+      for (int i = 0; i < 8; i++) {
+        txns.push_back(MakeTxn("donate", "org" + std::to_string((b + i) % 5),
+                               100 * b + i, {Value::Int(i)}));
+      }
+      const Timestamp ts = txns.back().ts();
+      ASSERT_TRUE(
+          chain.AppendBatch(chain.height() - 1, std::move(txns), ts, "sig")
+              .ok());
+    }
+    ASSERT_TRUE(chain.WriteCheckpoint().ok());
+    ASSERT_TRUE(chain.Close().ok());
+  }
+
+  ChainManager chain("locking", nullptr);
+  ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+  ASSERT_TRUE(chain.startup_stats().from_checkpoint);
+  const LayeredIndex* index = chain.indexes()->senid_index();
+  const AuthenticatedLayeredIndex* ali = chain.indexes()->senid_ali();
+  const uint64_t frozen = index->frozen_end();
+  ASSERT_EQ(frozen, static_cast<uint64_t>(kBlocks) + 1);  // + genesis
+
+  std::vector<std::vector<size_t>> sizes(4);
+  std::vector<std::vector<std::string>> roots(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; round++) {
+        for (BlockId bid = 0; bid < frozen; bid++) {
+          std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
+          ASSERT_TRUE(index->Tree(bid, &tree).ok());
+          std::shared_ptr<const MbTree> mb;
+          ASSERT_TRUE(ali->Tree(bid, &mb).ok());
+          if (round == 0) {
+            sizes[t].push_back(tree ? tree->size() : 0);
+            roots[t].push_back(mb ? mb->root_hash().ToHex() : "");
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int t = 0; t < 4; t++) {
+    ASSERT_EQ(sizes[t].size(), frozen);
+    EXPECT_EQ(sizes[t], sizes[0]);
+    EXPECT_EQ(roots[t], roots[0]);
+    EXPECT_EQ(sizes[t][0], 0u);  // genesis holds no transactions
+    for (uint64_t bid = 1; bid < frozen; bid++) EXPECT_EQ(sizes[t][bid], 8u);
+  }
+  ASSERT_TRUE(chain.Close().ok());
 }
 
 }  // namespace

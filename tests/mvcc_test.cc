@@ -1,9 +1,9 @@
-// MVCC apply equivalence: wave planning unit tests plus randomized
-// serial/scheduled equivalence — the same ordered workload must produce
-// byte-identical chain state (tip hash, query rows and plans, ALI digests,
-// checkpoint files) whether blocks are applied serially or through the
-// order-then-execute scheduler with no pool, a 1-thread pool, or a
-// 4-thread pool (DESIGN.md §13).
+// Block-apply equivalence (DESIGN.md §13): the same ordered workload must
+// produce byte-identical chain state (tip hash, query rows and plans, ALI
+// digests, checkpoint files) whether IndexSet::ApplyBlock runs with no pool,
+// a 1-thread pool or a 4-thread pool, and every index must match a serial
+// reference built here from standalone LayeredIndex /
+// AuthenticatedLayeredIndex instances fed through their own AddBlock.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,7 +13,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "core/txn_scheduler.h"
+#include "core/chain_manager.h"
 #include "sql/executor.h"
 #include "storage/file.h"
 #include "tests/test_util.h"
@@ -24,125 +24,6 @@ namespace {
 using testing_util::MakeTxn;
 using testing_util::ScratchDir;
 
-// ---------------------------------------------------------------------------
-// Wave planning.
-
-Transaction Insert(const std::string& table, const std::string& key) {
-  return MakeTxn(table, "s", 10, {Value::Str(key), Value::Int(1)});
-}
-
-Transaction SchemaTxnFor(const std::string& table) {
-  Schema schema;
-  EXPECT_TRUE(
-      Schema::Create(table, {{"k", ValueType::kString}}, &schema).ok());
-  Transaction txn = Catalog::MakeSchemaTransaction(schema);
-  txn.set_sender("admin");
-  txn.set_ts(10);
-  txn.set_signature("test-sig");
-  return txn;
-}
-
-TEST(PlanWavesTest, NonConflictingBlockIsOneWave) {
-  std::vector<Transaction> txns;
-  for (int i = 0; i < 8; i++) {
-    txns.push_back(Insert("t", "k" + std::to_string(i)));
-  }
-  WavePlan plan = PlanWaves(txns);
-  ASSERT_EQ(plan.waves.size(), 1u);
-  EXPECT_EQ(plan.waves[0].size(), 8u);
-  EXPECT_EQ(plan.conflict_txns, 0u);
-  EXPECT_EQ(plan.schema_barriers, 0u);
-}
-
-TEST(PlanWavesTest, SameKeyDegradesToOneTxnPerWave) {
-  std::vector<Transaction> txns;
-  for (int i = 0; i < 6; i++) txns.push_back(Insert("t", "hot"));
-  WavePlan plan = PlanWaves(txns);
-  ASSERT_EQ(plan.waves.size(), 6u);
-  for (uint32_t w = 0; w < 6; w++) {
-    ASSERT_EQ(plan.waves[w].size(), 1u);
-    EXPECT_EQ(plan.waves[w][0], w);  // original order preserved
-  }
-  EXPECT_EQ(plan.conflict_txns, 5u);
-}
-
-TEST(PlanWavesTest, SameKeyDifferentTablesDoNotConflict) {
-  std::vector<Transaction> txns = {Insert("a", "k"), Insert("b", "k")};
-  WavePlan plan = PlanWaves(txns);
-  ASSERT_EQ(plan.waves.size(), 1u);
-  EXPECT_EQ(plan.waves[0].size(), 2u);
-}
-
-TEST(PlanWavesTest, SchemaOpIsTableLevelBarrier) {
-  // [insert a, insert b, schema a, insert a, insert b]: the schema op
-  // serializes behind a's earlier insert and ahead of a's later one, while
-  // table b's transactions stay unaffected in wave 0.
-  std::vector<Transaction> txns = {Insert("a", "k1"), Insert("b", "k2"),
-                                   SchemaTxnFor("a"), Insert("a", "k3"),
-                                   Insert("b", "k4")};
-  WavePlan plan = PlanWaves(txns);
-  ASSERT_EQ(plan.waves.size(), 3u);
-  EXPECT_EQ(plan.waves[0], (std::vector<uint32_t>{0, 1, 4}));
-  EXPECT_EQ(plan.waves[1], (std::vector<uint32_t>{2}));
-  EXPECT_EQ(plan.waves[2], (std::vector<uint32_t>{3}));
-  EXPECT_EQ(plan.schema_barriers, 1u);
-}
-
-TEST(PlanWavesTest, UndecodableSchemaTxnIsGlobalBarrier) {
-  Transaction opaque("__schema", {Value::Int(42)});
-  opaque.set_sender("admin");
-  opaque.set_ts(10);
-  opaque.set_signature("test-sig");
-  std::vector<Transaction> txns = {Insert("a", "k1"), std::move(opaque),
-                                   Insert("b", "k2")};
-  WavePlan plan = PlanWaves(txns);
-  ASSERT_EQ(plan.waves.size(), 3u);
-  EXPECT_EQ(plan.waves[0], (std::vector<uint32_t>{0}));
-  EXPECT_EQ(plan.waves[1], (std::vector<uint32_t>{1}));
-  EXPECT_EQ(plan.waves[2], (std::vector<uint32_t>{2}));
-}
-
-TEST(PlanWavesTest, WavesPartitionEveryPositionInAscendingOrder) {
-  Random rng(42);
-  std::vector<Transaction> txns;
-  for (int i = 0; i < 200; i++) {
-    if (rng.Uniform(20) == 0) {
-      txns.push_back(SchemaTxnFor("t" + std::to_string(rng.Uniform(3))));
-    } else {
-      txns.push_back(Insert("t" + std::to_string(rng.Uniform(3)),
-                            "k" + std::to_string(rng.Uniform(10))));
-    }
-  }
-  WavePlan plan = PlanWaves(txns);
-  std::vector<int> seen(txns.size(), 0);
-  for (const auto& wave : plan.waves) {
-    ASSERT_FALSE(wave.empty());
-    for (size_t j = 0; j < wave.size(); j++) {
-      ASSERT_LT(wave[j], txns.size());
-      if (j > 0) {
-        ASSERT_LT(wave[j - 1], wave[j]);
-      }
-      seen[wave[j]]++;
-    }
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-}
-
-TEST(PlanWavesTest, SchemaThenInsertsInSameBlockOrderCorrectly) {
-  // A table created and populated within one block: the schema op runs in
-  // wave 0, the inserts land in wave 1 together (they conflict with the
-  // barrier, not with each other).
-  std::vector<Transaction> txns = {SchemaTxnFor("late"), Insert("late", "a"),
-                                   Insert("late", "b"), Insert("late", "c")};
-  WavePlan plan = PlanWaves(txns);
-  ASSERT_EQ(plan.waves.size(), 2u);
-  EXPECT_EQ(plan.waves[0], (std::vector<uint32_t>{0}));
-  EXPECT_EQ(plan.waves[1], (std::vector<uint32_t>{1, 2, 3}));
-}
-
-// ---------------------------------------------------------------------------
-// Randomized serial/scheduled equivalence across pool sizes.
-
 // One chain variant: a scratch dir, its own pool (when threaded) and chain.
 struct Variant {
   std::string name;
@@ -152,16 +33,13 @@ struct Variant {
   std::unique_ptr<Executor> executor;
 };
 
-Variant MakeVariant(const std::string& name, bool serial_apply,
-                    int pool_threads, uint32_t execute_cost_micros = 0) {
+Variant MakeVariant(const std::string& name, int pool_threads) {
   Variant v;
   v.name = name;
   v.dir = std::make_unique<ScratchDir>("mvcc_" + name);
   ChainOptions options;
   options.verify_signatures = false;
   options.store.segment_size = 8 << 10;  // tiny: forces many segments
-  options.serial_apply = serial_apply;
-  options.execute_cost_micros = execute_cost_micros;
   if (pool_threads > 0) {
     v.pool = std::make_unique<ThreadPool>(pool_threads);
     options.pool = v.pool.get();
@@ -171,11 +49,15 @@ Variant MakeVariant(const std::string& name, bool serial_apply,
   return v;
 }
 
-// Deterministic mixed workload: conflicting and non-conflicting inserts,
+// Application positions of the user-indexed donate columns.
+constexpr int kProjectPos = 1;
+constexpr int kAmountPos = 2;
+
+// Deterministic mixed workload: repeated and unique first-column keys,
 // mid-chain schema re-syncs, a table created and populated in one block,
-// and a user index created mid-chain so later blocks exercise the user
-// target in the scheduled merge phase.
-void BuildWorkload(ChainManager* chain) {
+// and user indexes created mid-chain (at height *user_index_height) so
+// later blocks exercise user targets in the apply.
+void BuildWorkload(ChainManager* chain, uint64_t* user_index_height) {
   Timestamp ts = 0;
   auto next_ts = [&ts] { return ts += 10; };
   auto append = [&](std::vector<Transaction> txns) {
@@ -211,8 +93,7 @@ void BuildWorkload(ChainManager* chain) {
   Random rng(20260809);
   for (int b = 0; b < 30; b++) {
     std::vector<Transaction> txns;
-    // Mid-chain schema re-sync (idempotent): exercises table barriers
-    // between inserts of the same block.
+    // Mid-chain schema re-sync (idempotent) between inserts of one block.
     if (b % 7 == 3) {
       Transaction txn = Catalog::MakeSchemaTransaction(donate);
       txn.set_sender("admin");
@@ -220,8 +101,8 @@ void BuildWorkload(ChainManager* chain) {
       txn.set_signature("test-sig");
       txns.push_back(std::move(txn));
     }
-    // Odd blocks draw first-column keys from a tiny pool (heavy intra-block
-    // conflicts); even blocks from a wide one (mostly conflict-free).
+    // Odd blocks draw first-column keys from a tiny pool (many repeats
+    // within a block); even blocks from a wide one (mostly unique).
     uint64_t key_space = (b % 2 == 1) ? 3 : 1000;
     int rows = 4 + static_cast<int>(rng.Uniform(9));
     for (int i = 0; i < rows; i++) {
@@ -260,18 +141,20 @@ void BuildWorkload(ChainManager* chain) {
                     {Value::Str("w" + std::to_string(i)), Value::Int(i)}));
       }
       append(std::move(block));
-      // User indexes created mid-chain: the remaining blocks flow through
-      // the scheduled merge with user targets live (continuous histogram
-      // on amount, discrete value-bitmaps on project).
+      // User indexes created mid-chain (backfilled): a continuous
+      // histogram on amount, discrete value-bitmaps on project.
+      *user_index_height = chain->height();
       ASSERT_TRUE(chain->indexes()
-                      ->CreateLayeredIndex("donate", "amount",
-                                           Schema::kNumSystemColumns + 2,
-                                           /*discrete=*/false)
+                      ->CreateLayeredIndex(
+                          "donate", "amount",
+                          Schema::kNumSystemColumns + kAmountPos,
+                          /*discrete=*/false)
                       .ok());
       ASSERT_TRUE(chain->indexes()
-                      ->CreateLayeredIndex("donate", "project",
-                                           Schema::kNumSystemColumns + 1,
-                                           /*discrete=*/true)
+                      ->CreateLayeredIndex(
+                          "donate", "project",
+                          Schema::kNumSystemColumns + kProjectPos,
+                          /*discrete=*/true)
                       .ok());
     }
   }
@@ -287,11 +170,11 @@ std::vector<std::string> Rendered(const ResultSet& result) {
   return out;
 }
 
-std::string AliDigest(AuthenticatedLayeredIndex* ali, const std::string& key) {
-  Value v = Value::Str(key);
+std::string AliDigest(const AuthenticatedLayeredIndex& ali, const Value& lo,
+                      const Value& hi) {
   Hash256 digest;
   EXPECT_TRUE(
-      ali->ComputeDigest(&v, &v, nullptr, ali->num_blocks(), &digest).ok());
+      ali.ComputeDigest(&lo, &hi, nullptr, ali.num_blocks(), &digest).ok());
   return digest.ToHex();
 }
 
@@ -319,19 +202,185 @@ std::map<std::string, std::string> DirBytes(const std::string& dir) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Serial reference: one standalone LayeredIndex + ALI pair per index the
+// IndexSet maintains, built with equivalent extractors and fed every block
+// through their own AddBlock, one block at a time.
+
+struct ReferenceIndex {
+  ReferenceIndex(const std::string& name, LayeredIndexOptions options,
+                 const ColumnExtractor& extractor)
+      : layered(name, options, extractor),
+        ali(name + ".auth", options, extractor) {}
+  LayeredIndex layered;
+  AuthenticatedLayeredIndex ali;
+};
+
+// A probe range and the indexes it applies to.
+struct Probe {
+  std::string index;
+  Value lo, hi;
+};
+
+struct Reference {
+  std::map<std::string, std::unique_ptr<ReferenceIndex>> indexes;
+  std::vector<Probe> probes;
+};
+
+ColumnExtractor DonateColumn(int pos) {
+  return [pos](const Transaction& txn, Value* out) {
+    if (txn.tname() != "donate" ||
+        pos >= static_cast<int>(txn.values().size())) {
+      return false;
+    }
+    *out = txn.values()[pos];
+    return true;
+  };
+}
+
+std::unique_ptr<Reference> BuildReference(ChainManager* chain,
+                                          uint64_t user_index_height) {
+  std::vector<std::shared_ptr<const Block>> blocks(chain->height());
+  for (uint64_t h = 0; h < blocks.size(); h++) {
+    EXPECT_TRUE(chain->store()->ReadBlock(h, &blocks[h]).ok()) << h;
+  }
+
+  auto ref = std::make_unique<Reference>();
+  LayeredIndexOptions discrete;
+  discrete.discrete = true;
+  ref->indexes["sys.senid"] = std::make_unique<ReferenceIndex>(
+      "sys.senid", discrete, [](const Transaction& txn, Value* out) {
+        *out = Value::Str(txn.sender());
+        return true;
+      });
+  ref->indexes["sys.tname"] = std::make_unique<ReferenceIndex>(
+      "sys.tname", discrete, [](const Transaction& txn, Value* out) {
+        *out = Value::Str(txn.tname());
+        return true;
+      });
+  ref->indexes["donate.project"] = std::make_unique<ReferenceIndex>(
+      "donate.project", discrete, DonateColumn(kProjectPos));
+
+  // The continuous index was created at user_index_height, its histogram
+  // sampled from the values chained before it; created at height 0, it
+  // bootstraps from its first non-empty block instead.
+  LayeredIndexOptions continuous;
+  continuous.histogram_buckets = IndexSetOptions().histogram_buckets;
+  const ColumnExtractor amount = DonateColumn(kAmountPos);
+  ref->indexes["donate.amount"] = std::make_unique<ReferenceIndex>(
+      "donate.amount", continuous, amount);
+  std::vector<Value> sample;
+  for (uint64_t h = 0; h < user_index_height; h++) {
+    for (const auto& txn : blocks[h]->transactions()) {
+      Value v;
+      if (amount(txn, &v)) sample.push_back(std::move(v));
+    }
+  }
+  if (!sample.empty()) {
+    EqualDepthHistogram histogram;
+    EXPECT_TRUE(EqualDepthHistogram::Build(std::move(sample),
+                                           continuous.histogram_buckets,
+                                           &histogram)
+                    .ok());
+    ReferenceIndex* amount_ref = ref->indexes["donate.amount"].get();
+    EXPECT_TRUE(amount_ref->layered.SetHistogram(histogram).ok());
+    EXPECT_TRUE(amount_ref->ali.SetHistogram(std::move(histogram)).ok());
+  }
+
+  for (const auto& block : blocks) {
+    for (auto& [name, index] : ref->indexes) {
+      EXPECT_TRUE(index->layered.AddBlock(*block).ok()) << name;
+      EXPECT_TRUE(index->ali.AddBlock(*block).ok()) << name;
+    }
+  }
+
+  auto point = [&](const std::string& index, const Value& v) {
+    ref->probes.push_back({index, v, v});
+  };
+  for (int i = 0; i < 6; i++) {
+    point("sys.senid", Value::Str("donor" + std::to_string(i)));
+  }
+  for (int i = 0; i < 4; i++) {
+    point("sys.senid", Value::Str("org" + std::to_string(i)));
+  }
+  point("sys.senid", Value::Str("admin"));
+  for (const char* table : {"donate", "acct", "late", "__schema"}) {
+    point("sys.tname", Value::Str(table));
+  }
+  for (int i = 0; i < 5; i++) {
+    point("donate.project", Value::Str("proj" + std::to_string(i)));
+  }
+  for (auto [lo, hi] : {std::pair<int, int>{0, 99}, {100, 300}, {450, 500},
+                        {0, 500}, {250, 250}}) {
+    ref->probes.push_back({"donate.amount", Value::Int(lo), Value::Int(hi)});
+  }
+  return ref;
+}
+
+// A block's second-level tree as "value@position" in leaf order.
+std::vector<std::string> TreeEntries(const LayeredIndex& index, BlockId bid) {
+  std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
+  EXPECT_TRUE(index.Tree(bid, &tree).ok()) << bid;
+  std::vector<std::string> out;
+  if (tree == nullptr) return out;
+  for (auto it = tree->Begin(); it.Valid(); it.Next()) {
+    out.push_back(it.key().ToString() + "@" + std::to_string(it.value()));
+  }
+  return out;
+}
+
+// `chain`'s indexes match the serial reference: every block's second-level
+// tree, and the candidate bitmaps and ALI digests of every probe.
+void ExpectMatchesReference(ChainManager* chain, const Reference& ref) {
+  IndexSet* set = chain->indexes();
+  auto lookup = [&](const std::string& name)
+      -> std::pair<LayeredIndex*, AuthenticatedLayeredIndex*> {
+    if (name == "sys.senid") return {set->senid_index(), set->senid_ali()};
+    if (name == "sys.tname") return {set->tname_index(), set->tname_ali()};
+    const std::string column = name.substr(name.find('.') + 1);
+    return {set->GetLayered("donate", column), set->GetAli("donate", column)};
+  };
+  for (const auto& [name, want] : ref.indexes) {
+    SCOPED_TRACE(name);
+    const LayeredIndex* layered = lookup(name).first;
+    ASSERT_NE(layered, nullptr);
+    ASSERT_EQ(want->layered.num_blocks(), layered->num_blocks());
+    for (BlockId bid = 0; bid < layered->num_blocks(); bid++) {
+      EXPECT_EQ(TreeEntries(want->layered, bid), TreeEntries(*layered, bid))
+          << "block " << bid;
+    }
+  }
+  for (const Probe& probe : ref.probes) {
+    SCOPED_TRACE(probe.index + " [" + probe.lo.ToString() + ", " +
+                 probe.hi.ToString() + "]");
+    auto [layered, ali] = lookup(probe.index);
+    ASSERT_NE(layered, nullptr);
+    ASSERT_NE(ali, nullptr);
+    const ReferenceIndex& want = *ref.indexes.at(probe.index);
+    EXPECT_EQ(want.layered.CandidateBlocks(&probe.lo, &probe.hi).SetBits(),
+              layered->CandidateBlocks(&probe.lo, &probe.hi).SetBits());
+    EXPECT_EQ(AliDigest(want.ali, probe.lo, probe.hi),
+              AliDigest(*ali, probe.lo, probe.hi));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Randomized equivalence across pool sizes.
+
 TEST(MvccEquivalenceTest, SerialAndScheduledStateIsByteIdentical) {
   std::vector<Variant> variants;
-  variants.push_back(MakeVariant("serial", /*serial_apply=*/true, 0));
-  variants.push_back(MakeVariant("nopool", /*serial_apply=*/false, 0));
-  variants.push_back(MakeVariant("pool1", /*serial_apply=*/false, 1));
-  variants.push_back(MakeVariant("pool4", /*serial_apply=*/false, 4));
+  variants.push_back(MakeVariant("nopool", 0));
+  variants.push_back(MakeVariant("pool1", 1));
+  variants.push_back(MakeVariant("pool4", 4));
 
+  uint64_t user_index_height = 0;
   for (auto& v : variants) {
-    BuildWorkload(v.chain.get());
+    BuildWorkload(v.chain.get(), &user_index_height);
     v.executor = std::make_unique<Executor>(v.chain->store(),
                                             v.chain->indexes(),
                                             v.chain->catalog(), nullptr);
   }
+  ASSERT_GT(user_index_height, 0u);
 
   const Variant& base = variants[0];
   for (size_t i = 1; i < variants.size(); i++) {
@@ -340,6 +389,14 @@ TEST(MvccEquivalenceTest, SerialAndScheduledStateIsByteIdentical) {
     EXPECT_EQ(base.chain->height(), other.chain->height());
     EXPECT_EQ(base.chain->tip_hash().ToHex(), other.chain->tip_hash().ToHex());
     EXPECT_EQ(base.chain->next_tid(), other.chain->next_tid());
+  }
+
+  // Every variant's indexes equal the serial reference.
+  const std::unique_ptr<Reference> ref =
+      BuildReference(base.chain.get(), user_index_height);
+  for (auto& v : variants) {
+    SCOPED_TRACE(v.name);
+    ExpectMatchesReference(v.chain.get(), *ref);
   }
 
   // Query results and plans across every access path the planner picks.
@@ -354,7 +411,7 @@ TEST(MvccEquivalenceTest, SerialAndScheduledStateIsByteIdentical) {
   for (const char* sql : queries) {
     ExecOptions options;
     ResultSet expected;
-    ASSERT_TRUE(variants[0].executor->ExecuteSql(sql, options, &expected).ok())
+    ASSERT_TRUE(base.executor->ExecuteSql(sql, options, &expected).ok())
         << sql;
     for (size_t i = 1; i < variants.size(); i++) {
       ResultSet got;
@@ -366,23 +423,8 @@ TEST(MvccEquivalenceTest, SerialAndScheduledStateIsByteIdentical) {
     }
   }
 
-  // ALI digests (system ALIs feed the authenticated trace queries).
-  for (size_t i = 1; i < variants.size(); i++) {
-    const Variant& other = variants[i];
-    SCOPED_TRACE(other.name);
-    for (int s = 0; s < 6; s++) {
-      const std::string sender = "donor" + std::to_string(s);
-      EXPECT_EQ(AliDigest(base.chain->indexes()->senid_ali(), sender),
-                AliDigest(other.chain->indexes()->senid_ali(), sender));
-    }
-    for (const char* table : {"donate", "acct", "late"}) {
-      EXPECT_EQ(AliDigest(base.chain->indexes()->tname_ali(), table),
-                AliDigest(other.chain->indexes()->tname_ali(), table));
-    }
-  }
-
   // Checkpoints must serialize to identical bytes: same page files, same
-  // manifest, regardless of how blocks were applied.
+  // manifest, for any pool size.
   for (auto& v : variants) {
     ASSERT_TRUE(v.chain->WriteCheckpoint().ok()) << v.name;
   }
@@ -397,60 +439,39 @@ TEST(MvccEquivalenceTest, SerialAndScheduledStateIsByteIdentical) {
       EXPECT_EQ(bytes, it->second) << variants[i].name << ": " << name;
     }
   }
-
-  // Scheduler surfaced the conflict structure: the threaded variants saw
-  // both multi-wave (conflicting) and single-wave (conflict-free) blocks.
-  for (size_t i = 1; i < variants.size(); i++) {
-    const TxnSchedulerStats stats = variants[i].chain->apply_stats();
-    SCOPED_TRACE(variants[i].name);
-    EXPECT_GT(stats.blocks, 0u);
-    EXPECT_GT(stats.txns, 0u);
-    EXPECT_GE(stats.waves, stats.blocks);
-    EXPECT_GT(stats.conflict_txns, 0u);
-    EXPECT_GT(stats.schema_barriers, 0u);
-    EXPECT_GT(stats.single_wave_blocks, 0u);
-    EXPECT_GT(stats.max_waves_in_block, 1u);
-  }
 }
 
-// Simulated execution cost must not change results, only timing — run the
-// same workload with a nonzero per-txn cost and compare the tip.
-TEST(MvccEquivalenceTest, ExecuteCostDoesNotChangeState) {
-  Variant plain = MakeVariant("cost0", /*serial_apply=*/false, 2);
-  Variant costed = MakeVariant("cost5", /*serial_apply=*/false, 2,
-                               /*execute_cost_micros=*/5);
-  BuildWorkload(plain.chain.get());
-  BuildWorkload(costed.chain.get());
-  EXPECT_EQ(plain.chain->height(), costed.chain->height());
-  EXPECT_EQ(plain.chain->tip_hash().ToHex(), costed.chain->tip_hash().ToHex());
-}
-
-// Replay (ChainManager::Open over an existing dir) routes through the same
-// scheduler: reopen the serially-built chain with a pool and compare tips.
+// Replay (ChainManager::Open over an existing dir) runs the same apply: a
+// pool-4 replay of a chain built with no pool reproduces its tip, and every
+// index, user indexes recreated from the manifest included, matches the
+// serial reference.
 TEST(MvccEquivalenceTest, ScheduledReplayMatchesSerialBuild) {
   ScratchDir dir("mvcc_replay");
-  ChainOptions serial;
-  serial.verify_signatures = false;
-  serial.store.segment_size = 8 << 10;
-  serial.serial_apply = true;
+  ChainOptions options;
+  options.verify_signatures = false;
+  options.store.segment_size = 8 << 10;
   std::string tip;
   uint64_t height = 0;
   {
     ChainManager chain("mvcc-build", nullptr);
-    ASSERT_TRUE(chain.Open(serial, dir.path()).ok());
-    BuildWorkload(&chain);
+    ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+    uint64_t user_index_height = 0;
+    BuildWorkload(&chain, &user_index_height);
     tip = chain.tip_hash().ToHex();
     height = chain.height();
+    ASSERT_TRUE(chain.Close().ok());
   }
   ThreadPool pool(4);
-  ChainOptions scheduled;
-  scheduled.verify_signatures = false;
-  scheduled.store.segment_size = 8 << 10;
-  scheduled.pool = &pool;
+  options.pool = &pool;
   ChainManager chain("mvcc-replay", nullptr);
-  ASSERT_TRUE(chain.Open(scheduled, dir.path()).ok());
+  ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+  EXPECT_FALSE(chain.startup_stats().from_checkpoint);
+  EXPECT_EQ(chain.startup_stats().replayed_blocks, height);
   EXPECT_EQ(chain.height(), height);
   EXPECT_EQ(chain.tip_hash().ToHex(), tip);
+  // Replay recreates the user indexes from the manifest before block 0, so
+  // the reference builds them from height 0 too.
+  ExpectMatchesReference(&chain, *BuildReference(&chain, 0));
 }
 
 }  // namespace
