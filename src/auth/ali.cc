@@ -87,41 +87,41 @@ Status AuthenticatedLayeredIndex::SetHistogram(EqualDepthHistogram histogram) {
 
 Status AuthenticatedLayeredIndex::AddBlock(const Block& block) {
   // Extraction + MergeTxnDeltas, like LayeredIndex::AddBlock: one extractor
-  // pass feeds both the layered entries and the MB-tree entries, and the
+  // pass feeds both the layered entries and the record hashes, and the
   // merge half is shared with the parallel apply pipeline.
   std::vector<std::pair<Value, uint32_t>> layered_entries;
-  std::vector<MbTree::Entry> mb_entries;
+  std::vector<Hash256> record_hashes;
   const auto& txns = block.transactions();
   for (uint32_t i = 0; i < txns.size(); i++) {
     Value key;
     if (!extractor_(txns[i], &key)) continue;
-    MbTree::Entry entry;
-    entry.key = key;
-    txns[i].EncodeTo(&entry.record);
-    mb_entries.push_back(std::move(entry));
+    std::string record;
+    txns[i].EncodeTo(&record);
+    record_hashes.push_back(Sha256::Digest(record));
     layered_entries.emplace_back(std::move(key), i);
   }
   return MergeTxnDeltas(block.height(), std::move(layered_entries),
-                        std::move(mb_entries));
+                        std::move(record_hashes));
 }
 
 Status AuthenticatedLayeredIndex::MergeTxnDeltas(
     uint64_t height, std::vector<std::pair<Value, uint32_t>> layered_entries,
-    std::vector<MbTree::Entry> mb_entries) {
+    std::vector<Hash256> record_hashes) {
+  // MB-tree order: stable by key, so equal keys keep block order.
+  std::vector<uint32_t> order(layered_entries.size());
+  for (uint32_t i = 0; i < order.size(); i++) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return layered_entries[a].first.CompareTotal(layered_entries[b].first) < 0;
+  });
+  std::vector<Hash256> sorted_hashes;
+  sorted_hashes.reserve(order.size());
+  for (uint32_t i : order) sorted_hashes.push_back(record_hashes[i]);
+
   Status s = layered_.MergeTxnDeltas(height, std::move(layered_entries));
   if (!s.ok()) return s;
-
-  std::stable_sort(mb_entries.begin(), mb_entries.end(),
-                   [](const MbTree::Entry& a, const MbTree::Entry& b) {
-                     return a.key.CompareTotal(b.key) < 0;
-                   });
-  std::shared_ptr<const MbTree> tree =
-      mb_entries.empty() ? nullptr
-                         : std::shared_ptr<const MbTree>(
-                               MbTree::Build(std::move(mb_entries),
-                                             mb_options_));
-  roots_.push_back(tree == nullptr ? Hash256{} : tree->root_hash());
-  block_trees_.push_back(std::move(tree));
+  roots_.push_back(sorted_hashes.empty()
+                       ? Hash256{}
+                       : MbTree::ComputeRoot(sorted_hashes, mb_options_));
   return Status::OK();
 }
 
@@ -149,10 +149,6 @@ Status AuthenticatedLayeredIndex::BlockRoot(BlockId bid, Hash256* out) const {
 Status AuthenticatedLayeredIndex::Tree(
     BlockId bid, std::shared_ptr<const MbTree>* out) const {
   if (bid >= roots_.size()) return Status::NotFound("block not indexed");
-  if (bid >= mem_base_) {
-    *out = block_trees_[bid - mem_base_];
-    return Status::OK();
-  }
   if (roots_[bid] == Hash256{}) {  // no indexed entries — no tree
     *out = nullptr;
     return Status::OK();
@@ -274,18 +270,6 @@ Status AuthenticatedLayeredIndex::VerifyResponse(
   return Status::OK();
 }
 
-void AuthenticatedLayeredIndex::AdoptFrozen(
-    BufferManager* pool, BufferManager::FileId file,
-    const std::vector<LayeredIndex::FrozenTreeRef>& refs) {
-  layered_.AdoptFrozen(pool, file, refs);
-  // The adopted blocks' MB-trees become rebuild-on-demand: this is the
-  // memory bound. Roots stay — they are the verification anchor.
-  block_trees_.erase(block_trees_.begin(),
-                     block_trees_.begin() +
-                         std::min(refs.size(), block_trees_.size()));
-  mem_base_ += refs.size();
-}
-
 void AuthenticatedLayeredIndex::EncodeCheckpointState(
     const std::vector<LayeredIndex::FrozenTreeRef>& pending,
     std::string* dst) const {
@@ -318,8 +302,6 @@ Status AuthenticatedLayeredIndex::RestoreCheckpoint(
     std::memcpy(roots_[i].bytes.data(), in.data(), 32);
     in.remove_prefix(32);
   }
-  mem_base_ = nroots;
-  block_trees_.clear();
   return Status::OK();
 }
 

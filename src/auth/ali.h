@@ -10,13 +10,14 @@
 // digest, and accepts when enough auxiliary digests match (credibility
 // Eqs. 4–6).
 //
-// Persistence: MB-trees are deterministic functions of their block's
-// transactions, so checkpoints never serialize them — only the per-block
-// root hashes (32 bytes/block) travel in the checkpoint meta. After a
-// restart, a checkpointed block's MB-tree is rebuilt on demand from the raw
-// block (via the installed BlockLoader), verified against the recorded root,
-// and LRU-cached. Digests (phase 2) need only the stored roots, so auxiliary
-// nodes answer without touching raw blocks at all.
+// Memory: MB-trees are deterministic functions of their block's
+// transactions, so the index keeps only each block's root hash (32 bytes).
+// Apply computes the root from the record hashes without building a tree;
+// a query's Tree() rebuilds the block's MB-tree on demand from the raw block
+// (via the installed BlockLoader), verifies it against the recorded root,
+// and LRU-caches it. Checkpoints therefore carry only the root list.
+// Digests (phase 2) need only the stored roots, so auxiliary nodes answer
+// without touching raw blocks at all.
 #pragma once
 
 #include <cstdint>
@@ -70,22 +71,23 @@ class AuthenticatedLayeredIndex {
   /// Continuous indexes need the histogram before the first block.
   Status SetHistogram(EqualDepthHistogram histogram);
 
-  /// Required before any frozen block's tree can be rebuilt.
+  /// Required before any block's tree can be built (Tree, ProveRange).
   void SetBlockLoader(BlockLoader loader) { loader_ = std::move(loader); }
 
-  /// Indexes a newly chained block: updates the first level and bulk-builds
-  /// the block's MB-tree over (attribute value, encoded transaction).
+  /// Indexes a newly chained block: updates the first level and records
+  /// the root of the block's MB-tree over (attribute value, encoded
+  /// transaction).
   Status AddBlock(const Block& block);
 
   /// Merge step of the parallel apply pipeline: ingests one block from
   /// deltas the extract phase prepared — `layered_entries` as
-  /// LayeredIndex::MergeTxnDeltas (block position order), `mb_entries` the
-  /// per-covered-transaction (key, encoded record, precomputed SHA-256)
-  /// triples in the same order. Stable-sorts by key and builds the MB-tree
-  /// without re-hashing, byte-identical to AddBlock.
+  /// LayeredIndex::MergeTxnDeltas (block position order), and
+  /// `record_hashes[i]` the SHA-256 of the encoded transaction behind
+  /// `layered_entries[i]`. Stable-sorts by key and records the MB-tree root
+  /// (MbTree::ComputeRoot) — the same root AddBlock and a rebuild produce.
   Status MergeTxnDeltas(uint64_t height,
                         std::vector<std::pair<Value, uint32_t>> layered_entries,
-                        std::vector<MbTree::Entry> mb_entries);
+                        std::vector<Hash256> record_hashes);
 
   uint64_t num_blocks() const { return layered_.num_blocks(); }
   const LayeredIndex& layered() const { return layered_; }
@@ -101,10 +103,16 @@ class AuthenticatedLayeredIndex {
   Status BlockRoot(BlockId bid, Hash256* out) const;
 
   /// One block's MB-tree (*out == nullptr when the block holds no indexed
-  /// entries). For blocks below the checkpoint boundary this rebuilds from
-  /// the raw block, verifies the root against the recorded one (Corruption
-  /// on mismatch), and caches the result.
+  /// entries). Served from the LRU cache or rebuilt from the raw block and
+  /// verified against the recorded root (Corruption on mismatch).
   Status Tree(BlockId bid, std::shared_ptr<const MbTree>* out) const;
+
+  /// Counters of the rebuilt-MB-tree LRU cache (all zero when its budget,
+  /// LayeredIndexOptions::materialized_cache_bytes, is zero).
+  LruCache<uint64_t, const MbTree>::Stats tree_cache_stats() const {
+    return rebuilt_ == nullptr ? LruCache<uint64_t, const MbTree>::Stats{}
+                               : rebuilt_->stats();
+  }
 
   /// Phase 1 (full node): executes the range query and assembles the VO set.
   Status ProveRange(const Value* lo, const Value* hi, const Bitmap* window,
@@ -127,8 +135,7 @@ class AuthenticatedLayeredIndex {
 
   // --- checkpoint protocol (driven by IndexSet; single-threaded) ---
   // The inner layered index checkpoints exactly like a plain one; the ALI
-  // layer adds only the root list to the meta state and drops the adopted
-  // blocks' in-memory MB-trees.
+  // layer adds only the root list to the meta state.
 
   Status WriteFrozenDelta(BufferManager* pool, BufferManager::FileId file,
                           uint64_t up_to,
@@ -137,7 +144,9 @@ class AuthenticatedLayeredIndex {
   }
 
   void AdoptFrozen(BufferManager* pool, BufferManager::FileId file,
-                   const std::vector<LayeredIndex::FrozenTreeRef>& refs);
+                   const std::vector<LayeredIndex::FrozenTreeRef>& refs) {
+    layered_.AdoptFrozen(pool, file, refs);
+  }
 
   void EncodeCheckpointState(
       const std::vector<LayeredIndex::FrozenTreeRef>& pending,
@@ -159,13 +168,8 @@ class AuthenticatedLayeredIndex {
   /// authenticated part of the checkpoint state.
   std::vector<Hash256> roots_;
 
-  /// In-memory MB-trees of the tail: block_trees_[i] belongs to block
-  /// mem_base_ + i. Blocks below mem_base_ rebuild on demand.
-  uint64_t mem_base_ = 0;
-  std::vector<std::shared_ptr<const MbTree>> block_trees_;
-
-  /// Rebuilt frozen-block trees, charged by encoded record bytes
-  /// (internally synchronized); nullptr when the cache budget is zero.
+  /// Rebuilt MB-trees, charged by encoded record bytes (internally
+  /// synchronized); nullptr when the cache budget is zero.
   std::unique_ptr<LruCache<uint64_t, const MbTree>> rebuilt_;
 };
 

@@ -21,11 +21,38 @@ Hash256 HashLeafRange(const std::vector<Hash256>& record_hashes, size_t start,
   return ctx.Finish();
 }
 
-Hash256 HashChildren(const std::vector<Hash256>& child_hashes) {
+Hash256 HashChildren(const std::vector<Hash256>& child_hashes, size_t start,
+                     size_t count) {
   Sha256 ctx;
   ctx.Update(&kInternalDomain, 1);
-  for (const auto& h : child_hashes) ctx.Update(h.bytes.data(), 32);
+  for (size_t i = 0; i < count; i++) {
+    ctx.Update(child_hashes[start + i].bytes.data(), 32);
+  }
   return ctx.Finish();
+}
+
+/// Every level's node hashes, leaves first, root level (one hash) last: a
+/// leaf covers `fanout` consecutive records, an internal node `fanout`
+/// consecutive children. An empty tree is one empty leaf. Build lays its
+/// nodes over exactly these groups; ComputeRoot keeps only the last level.
+std::vector<std::vector<Hash256>> LevelHashes(
+    const std::vector<Hash256>& record_hashes, size_t fanout) {
+  std::vector<std::vector<Hash256>> levels(1);
+  const size_t n = record_hashes.size();
+  if (n == 0) levels[0].push_back(HashLeafRange(record_hashes, 0, 0));
+  for (size_t i = 0; i < n; i += fanout) {
+    levels[0].push_back(
+        HashLeafRange(record_hashes, i, std::min(fanout, n - i)));
+  }
+  while (levels.back().size() > 1) {
+    const std::vector<Hash256>& below = levels.back();
+    std::vector<Hash256> up;
+    for (size_t i = 0; i < below.size(); i += fanout) {
+      up.push_back(HashChildren(below, i, std::min(fanout, below.size() - i)));
+    }
+    levels.push_back(std::move(up));
+  }
+  return levels;
 }
 
 }  // namespace
@@ -138,53 +165,49 @@ std::unique_ptr<MbTree> MbTree::Build(std::vector<Entry> sorted_entries,
   tree->records_.reserve(n);
   tree->record_hashes_.reserve(n);
   for (auto& entry : sorted_entries) {
-    tree->record_hashes_.push_back(entry.has_record_hash
-                                       ? entry.record_hash
-                                       : Sha256::Digest(entry.record));
+    tree->record_hashes_.push_back(Sha256::Digest(entry.record));
     tree->keys_.push_back(std::move(entry.key));
     tree->records_.push_back(std::move(entry.record));
   }
 
-  // Leaf level.
+  const std::vector<std::vector<Hash256>> levels =
+      LevelHashes(tree->record_hashes_, fanout);
   std::vector<std::unique_ptr<Node>> level;
-  if (n == 0) {
+  for (size_t j = 0; j < levels[0].size(); j++) {
     auto leaf = std::make_unique<Node>();
     leaf->leaf = true;
-    leaf->hash = HashLeafRange(tree->record_hashes_, 0, 0);
+    leaf->start = j * fanout;
+    leaf->count = n == 0 ? 0 : std::min(fanout, n - leaf->start);
+    leaf->hash = levels[0][j];
     level.push_back(std::move(leaf));
-  } else {
-    for (size_t i = 0; i < n; i += fanout) {
-      auto leaf = std::make_unique<Node>();
-      leaf->leaf = true;
-      leaf->start = i;
-      leaf->count = std::min(fanout, n - i);
-      leaf->hash = HashLeafRange(tree->record_hashes_, leaf->start, leaf->count);
-      level.push_back(std::move(leaf));
-    }
   }
-  tree->height_ = 1;
-
-  while (level.size() > 1) {
+  for (size_t l = 1; l < levels.size(); l++) {
     std::vector<std::unique_ptr<Node>> up;
-    for (size_t i = 0; i < level.size(); i += fanout) {
+    for (size_t j = 0; j < levels[l].size(); j++) {
       auto internal = std::make_unique<Node>();
-      size_t take = std::min(fanout, level.size() - i);
-      std::vector<Hash256> child_hashes;
-      internal->start = level[i]->start;
-      for (size_t j = 0; j < take; j++) {
-        internal->count += level[i + j]->count;
-        child_hashes.push_back(level[i + j]->hash);
-        internal->children.push_back(std::move(level[i + j]));
+      const size_t first = j * fanout;
+      const size_t take = std::min(fanout, level.size() - first);
+      internal->start = level[first]->start;
+      for (size_t c = 0; c < take; c++) {
+        internal->count += level[first + c]->count;
+        internal->children.push_back(std::move(level[first + c]));
       }
-      internal->hash = HashChildren(child_hashes);
+      internal->hash = levels[l][j];
       up.push_back(std::move(internal));
     }
     level = std::move(up);
-    tree->height_++;
   }
+  tree->height_ = static_cast<int>(levels.size());
   tree->root_ = std::move(level[0]);
   tree->root_hash_ = tree->root_->hash;
   return tree;
+}
+
+Hash256 MbTree::ComputeRoot(const std::vector<Hash256>& sorted_record_hashes,
+                            const Options& options) {
+  return LevelHashes(sorted_record_hashes,
+                     std::max<size_t>(2, options.fanout))
+      .back()[0];
 }
 
 void MbTree::Range(const Value* lo, const Value* hi,

@@ -6,8 +6,9 @@
 // root) and completeness (boundary records prove nothing in the range was
 // withheld).
 //
-// Our MB-trees are immutable: one per block, bulk-loaded when the block is
-// chained (the ALI's second level), so no insert/rebalance machinery exists.
+// Our MB-trees are immutable: one per block, bulk-loaded from the block's
+// transactions when a query first needs it (the ALI's second level; apply
+// keeps only the root), so no insert/rebalance machinery exists.
 #pragma once
 
 #include <cstdint>
@@ -67,17 +68,19 @@ class MbTree {
   struct Entry {
     Value key;
     std::string record;
-    /// Precomputed SHA-256 of `record`. The parallel apply pipeline hashes
-    /// each transaction once on a worker during the extract phase and every
-    /// MB-tree built from it skips re-hashing; when unset, Build hashes.
-    Hash256 record_hash{};
-    bool has_record_hash = false;
   };
 
   /// Builds the tree from entries sorted by key (duplicates allowed).
   static std::unique_ptr<MbTree> Build(std::vector<Entry> sorted_entries,
                                        const Options& options);
   static std::unique_ptr<MbTree> Build(std::vector<Entry> sorted_entries);
+
+  /// Root hash of the tree Build would produce over records whose SHA-256
+  /// hashes are `sorted_record_hashes` (same order), without materializing
+  /// it: the same leaf/internal hashing, no keys or records kept. Block
+  /// apply records only this root; the tree is rebuilt when a query needs it.
+  static Hash256 ComputeRoot(const std::vector<Hash256>& sorted_record_hashes,
+                             const Options& options);
 
   const Hash256& root_hash() const { return root_hash_; }
   size_t size() const { return keys_.size(); }

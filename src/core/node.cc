@@ -372,18 +372,29 @@ void SebdbNode::SetupRpcMethods() {
         }
         return GetRawBlock(height, response);
       });
-  rpc_dispatcher_.RegisterMethod(
+  // Deferred: the worker returns as soon as the txn is handed to consensus,
+  // and the engine's commit callback sends the reply. The in-flight bound is
+  // the engine's admission controller, not the worker count (DESIGN.md §10).
+  rpc_dispatcher_.RegisterDeferredMethod(
       thin_rpc::kSubmit,
-      [this](const Slice& request, std::string* response) -> Status {
+      [this](const Slice& request, RpcResponder respond) {
         Slice input = request;
         Transaction txn;
         Status s = Transaction::DecodeFrom(&input, &txn);
-        if (!s.ok()) return s;
-        s = SubmitAndWait(std::move(txn));
-        if (!s.ok()) return s;
-        PutVarint64(response, chain_.height());
-        return Status::OK();
-      });
+        if (!s.ok()) {
+          respond(s, "");
+          return;
+        }
+        s = SubmitAsync(std::move(txn), [this, respond](Status status) {
+          std::string response;
+          if (status.ok()) PutVarint64(&response, chain_.height());
+          respond(status, response);
+        });
+        // An engine may also have reported the rejection through the
+        // callback; the responder keeps only the first answer.
+        if (!s.ok()) respond(s, "");
+      },
+      options_.write_timeout_millis);
   rpc_dispatcher_.RegisterMethod(
       thin_rpc::kStats,
       [this](const Slice& request, std::string* response) -> Status {
@@ -531,31 +542,54 @@ Status SebdbNode::SubmitAsync(Transaction txn,
 }
 
 Status SebdbNode::SubmitAndWait(Transaction txn) {
+  std::vector<Transaction> txns;
+  txns.push_back(std::move(txn));
+  return SubmitAllAndWait(std::move(txns));
+}
+
+Status SebdbNode::SubmitAllAndWait(std::vector<Transaction> txns) {
   struct Waiter {
     Mutex mu;
     CondVar cv;
-    bool ready GUARDED_BY(mu) = false;
-    Status status GUARDED_BY(mu);
+    std::vector<std::optional<Status>> statuses GUARDED_BY(mu);
+    size_t remaining GUARDED_BY(mu) = 0;
+
+    // The first status per txn counts: an engine may report a rejection
+    // both through the callback and Submit's return value.
+    void Finish(size_t i, Status status) {
+      MutexLock lock(&mu);
+      if (statuses[i].has_value()) return;
+      statuses[i] = std::move(status);
+      if (--remaining == 0) cv.NotifyAll();
+    }
   };
   auto waiter = std::make_shared<Waiter>();
-  Status s = SubmitAsync(std::move(txn), [waiter](Status status) {
+  {
     MutexLock lock(&waiter->mu);
-    waiter->status = std::move(status);
-    waiter->ready = true;
-    waiter->cv.NotifyAll();
-  });
-  if (!s.ok()) return s;
+    waiter->statuses.resize(txns.size());
+    waiter->remaining = txns.size();
+  }
+  for (size_t i = 0; i < txns.size(); i++) {
+    Status s = SubmitAsync(std::move(txns[i]), [waiter, i](Status status) {
+      waiter->Finish(i, std::move(status));
+    });
+    if (!s.ok()) waiter->Finish(i, std::move(s));
+  }
   MutexLock lock(&waiter->mu);
   const int64_t wait_deadline =
       SteadyNowMillis() + options_.write_timeout_millis;
-  while (!waiter->ready) {
+  while (waiter->remaining > 0) {
     int64_t remaining = wait_deadline - SteadyNowMillis();
-    if (remaining <= 0) {
-      return Status::TimedOut("write not committed within timeout");
-    }
+    if (remaining <= 0) break;
     waiter->cv.WaitFor(waiter->mu, std::chrono::milliseconds(remaining));
   }
-  return waiter->status;
+  for (const auto& status : waiter->statuses) {
+    if (!status.has_value()) {
+      return Status::TimedOut("write not committed within timeout");
+    }
+    if (!status->ok()) return *status;
+  }
+  return Status::OK();
 }
 
 Status SebdbNode::ExecInsert(const InsertStmt& stmt,
@@ -563,7 +597,8 @@ Status SebdbNode::ExecInsert(const InsertStmt& stmt,
   Status s = access_control_.CheckAccess(options_.node_id, stmt.table);
   if (!s.ok()) return s;
   // Multi-row INSERT: sign every transaction up front (all-or-nothing
-  // validation), then submit and wait for each commit.
+  // validation), then submit them all and wait once, so the rows share
+  // batches instead of each waiting out its own batch window.
   std::vector<Transaction> txns;
   txns.reserve(stmt.rows.size());
   for (const auto& row : stmt.rows) {
@@ -581,10 +616,8 @@ Status SebdbNode::ExecInsert(const InsertStmt& stmt,
     if (!s.ok()) return s;
     txns.push_back(std::move(txn));
   }
-  for (auto& txn : txns) {
-    s = SubmitAndWait(std::move(txn));
-    if (!s.ok()) return s;
-  }
+  s = SubmitAllAndWait(std::move(txns));
+  if (!s.ok()) return s;
   result->plan = "Insert(" + stmt.table + ", " +
                  std::to_string(stmt.rows.size()) + " rows)";
   return Status::OK();

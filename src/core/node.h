@@ -47,7 +47,8 @@ struct NodeOptions {
   /// rides on gossip height observations, so it is inert without gossip.
   bool enable_repair = true;
   RepairOptions repair;
-  /// How long a blocking write waits for its commit.
+  /// How long a blocking write waits for its commit; also the deadline of a
+  /// deferred thin.submit reply (answered TimedOut after it).
   int64_t write_timeout_millis = 30000;
   /// Thin-client RPC server bounds. The default (workers = 0) keeps the
   /// historical inline dispatch; nodes that expect thin-client load enable
@@ -83,6 +84,10 @@ class SebdbNode : public GossipDelegate {
 
   /// Submits a signed transaction; blocks until it commits locally.
   Status SubmitAndWait(Transaction txn);
+  /// Submits every transaction at once, then blocks until all commit (or
+  /// write_timeout_millis passes). Returns the first non-OK status in input
+  /// order; a failed txn does not withdraw the others.
+  Status SubmitAllAndWait(std::vector<Transaction> txns);
   /// Fire-and-forget variant with completion callback (write benchmark).
   Status SubmitAsync(Transaction txn, std::function<void(Status)> done);
 

@@ -16,6 +16,12 @@ void RpcDispatcher::RegisterMethod(const std::string& name,
   methods_[name] = std::move(method);
 }
 
+void RpcDispatcher::RegisterDeferredMethod(const std::string& name,
+                                           DeferredRpcMethod method,
+                                           int64_t timeout_millis) {
+  deferred_methods_[name] = Deferred{std::move(method), timeout_millis};
+}
+
 void RpcDispatcher::Start(const RpcServerOptions& options) {
   if (options.workers <= 0) return;
   MutexLock lock(&mu_);
@@ -32,8 +38,8 @@ void RpcDispatcher::Stop() {
   std::deque<QueuedRequest> drained;
   {
     MutexLock lock(&mu_);
-    if (!running_) return;
     running_ = false;
+    sweep_at_millis_ = 0;
     drained.swap(queue_);
     cv_.NotifyAll();
   }
@@ -41,10 +47,17 @@ void RpcDispatcher::Stop() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
+  const Status aborted = Status::Aborted("rpc server stopped");
   for (const auto& request : drained) {
     Reply(request.network, request.self_id, request.reply_to,
-          request.request_id, Status::Aborted("rpc server stopped"), "");
+          request.request_id, aborted, "");
   }
+  std::map<std::pair<int64_t, uint64_t>, ReplyTo> calls;
+  {
+    MutexLock lock(&outstanding_->mu);
+    calls.swap(outstanding_->calls);
+  }
+  for (const auto& [key, to] : calls) Reply(to, aborted, "");
 }
 
 void RpcDispatcher::Reply(Network* network, const std::string& self_id,
@@ -65,6 +78,38 @@ void RpcDispatcher::Reply(Network* network, const std::string& self_id,
 void RpcDispatcher::Execute(Network* network, const std::string& self_id,
                             const std::string& reply_to, uint64_t request_id,
                             const std::string& method, const Slice& body) {
+  auto deferred = deferred_methods_.find(method);
+  if (deferred != deferred_methods_.end()) {
+    const int64_t timeout_at =
+        SteadyNowMillis() + deferred->second.timeout_millis;
+    std::pair<int64_t, uint64_t> key;
+    {
+      MutexLock lock(&outstanding_->mu);
+      key = {timeout_at, outstanding_->next_seq++};
+      outstanding_->calls.emplace(
+          key, ReplyTo{network, self_id, reply_to, request_id});
+    }
+    {
+      MutexLock lock(&mu_);
+      stats_.executed++;
+      ScheduleSweepLocked(timeout_at);
+    }
+    std::shared_ptr<Outstanding> outstanding = outstanding_;
+    deferred->second.method(
+        body, [outstanding, key](const Status& status,
+                                 const std::string& response) {
+          ReplyTo to;
+          {
+            MutexLock lock(&outstanding->mu);
+            auto it = outstanding->calls.find(key);
+            if (it == outstanding->calls.end()) return;  // answered already
+            to = std::move(it->second);
+            outstanding->calls.erase(it);
+          }
+          Reply(to, status, response);
+        });
+    return;
+  }
   Status status;
   std::string response_body;
   auto it = methods_.find(method);
@@ -80,20 +125,74 @@ void RpcDispatcher::Execute(Network* network, const std::string& self_id,
   Reply(network, self_id, reply_to, request_id, status, response_body);
 }
 
+void RpcDispatcher::ScheduleSweepLocked(int64_t at_millis) {
+  if (sweep_at_millis_ == 0 || at_millis < sweep_at_millis_) {
+    sweep_at_millis_ = at_millis;
+    cv_.NotifyOne();  // a waiting worker re-arms its timed wait
+  }
+}
+
+bool RpcDispatcher::ClaimSweepLocked() {
+  if (sweep_at_millis_ == 0 || SteadyNowMillis() < sweep_at_millis_) {
+    return false;
+  }
+  sweep_at_millis_ = 0;  // SweepDeferred schedules the next one
+  return true;
+}
+
+void RpcDispatcher::SweepDeferred() {
+  std::vector<ReplyTo> expired;
+  int64_t next = 0;
+  {
+    MutexLock lock(&outstanding_->mu);
+    auto& calls = outstanding_->calls;
+    const int64_t now = SteadyNowMillis();
+    while (!calls.empty() && calls.begin()->first.first <= now) {
+      expired.push_back(std::move(calls.begin()->second));
+      calls.erase(calls.begin());
+    }
+    if (!calls.empty()) next = calls.begin()->first.first;
+  }
+  {
+    MutexLock lock(&mu_);
+    stats_.deferred_timed_out += expired.size();
+    if (next != 0) ScheduleSweepLocked(next);
+  }
+  for (const auto& to : expired) {
+    Reply(to, Status::TimedOut("deferred rpc not answered within timeout"),
+          "");
+  }
+}
+
 void RpcDispatcher::WorkerLoop() {
   while (true) {
     QueuedRequest request;
+    bool have_request = false;
+    bool sweep = false;
     bool expired = false;
     {
       MutexLock lock(&mu_);
-      while (running_ && queue_.empty()) cv_.Wait(mu_);
+      while (running_ && queue_.empty() && !(sweep = ClaimSweepLocked())) {
+        if (sweep_at_millis_ == 0) {
+          cv_.Wait(mu_);
+        } else {
+          cv_.WaitFor(mu_, std::chrono::milliseconds(std::max<int64_t>(
+                               sweep_at_millis_ - SteadyNowMillis(), 1)));
+        }
+      }
       if (!running_) return;
-      request = std::move(queue_.front());
-      queue_.pop_front();
-      expired = request.deadline_millis > 0 &&
-                SteadyNowMillis() > request.deadline_millis;
-      if (expired) stats_.expired_in_queue++;
+      if (!sweep) sweep = ClaimSweepLocked();
+      if (!queue_.empty()) {
+        request = std::move(queue_.front());
+        queue_.pop_front();
+        have_request = true;
+        expired = request.deadline_millis > 0 &&
+                  SteadyNowMillis() > request.deadline_millis;
+        if (expired) stats_.expired_in_queue++;
+      }
     }
+    if (sweep) SweepDeferred();
+    if (!have_request) continue;
     if (expired) {
       Reply(request.network, request.self_id, request.reply_to,
             request.request_id,
@@ -130,11 +229,13 @@ void RpcDispatcher::HandleMessage(Network* network,
   enum class Action { kExecuteInline, kQueued, kRejected };
   Action action;
   int64_t hint = 0;
+  bool sweep = false;
   {
     MutexLock lock(&mu_);
     stats_.received++;
     if (!running_) {
       action = Action::kExecuteInline;
+      sweep = ClaimSweepLocked();  // no workers: arrivals sweep timeouts
     } else if (queue_.size() >= options_.max_queue) {
       stats_.rejected_queue_full++;
       hint = options_.retry_after_base_millis * 2;
@@ -147,6 +248,7 @@ void RpcDispatcher::HandleMessage(Network* network,
       action = Action::kQueued;
     }
   }
+  if (sweep) SweepDeferred();
   switch (action) {
     case Action::kQueued:
       break;

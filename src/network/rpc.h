@@ -24,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +41,19 @@ namespace sebdb {
 /// serialized response body.
 using RpcMethod =
     std::function<Status(const Slice& request, std::string* response)>;
+
+/// Answers one deferred request; callable from any thread. Exactly once per
+/// request: the first answer wins — the method's own, TimedOut from the
+/// dispatcher once the method's timeout passes, or Aborted from Stop() —
+/// and every later call is dropped.
+using RpcResponder =
+    std::function<void(const Status& status, const std::string& response)>;
+
+/// Server-side method that answers later: it must return without waiting,
+/// handing `respond` to whatever completes the work (e.g. a commit
+/// callback), so the worker that ran it is free for the next request.
+using DeferredRpcMethod =
+    std::function<void(const Slice& request, RpcResponder respond)>;
 
 /// Server-side queue bounds. With workers = 0 (the default) requests
 /// execute inline on the network delivery thread, unqueued — the historical
@@ -61,6 +75,9 @@ struct RpcServerStats {
   /// Client budget (re-anchored on arrival) ran out while queued. Arrival
   /// itself can never be expired: the budget starts counting here.
   uint64_t expired_in_queue = 0;
+  /// Deferred requests answered TimedOut because nothing completed them
+  /// within their method's timeout.
+  uint64_t deferred_timed_out = 0;
 };
 
 /// Dispatch table a node plugs into its network handler.
@@ -74,12 +91,19 @@ class RpcDispatcher {
   /// Registration must complete before messages arrive (the worker pool
   /// reads the table without a lock).
   void RegisterMethod(const std::string& name, RpcMethod method);
+  /// Registers a method that answers through an RpcResponder. A request it
+  /// leaves unanswered for `timeout_millis` is answered TimedOut; the
+  /// worker loop sweeps these timeouts (inline mode sweeps on arrival), so
+  /// no thread waits per request.
+  void RegisterDeferredMethod(const std::string& name,
+                              DeferredRpcMethod method,
+                              int64_t timeout_millis);
 
   /// Enables the bounded-queue worker mode. No-op when
   /// options.workers == 0.
   void Start(const RpcServerOptions& options);
-  /// Drains the queue (pending requests are answered Aborted) and joins
-  /// the workers. Idempotent.
+  /// Drains the queue and joins the workers; queued and outstanding
+  /// deferred requests are answered Aborted. Idempotent.
   void Stop();
 
   /// Handles an "rpc.request" message and replies via `network` as
@@ -107,22 +131,62 @@ class RpcDispatcher {
     std::string body;
   };
 
-  /// Looks up and runs the method, then sends the response.
+  struct Deferred {
+    DeferredRpcMethod method;
+    int64_t timeout_millis = 0;
+  };
+  /// Where an unanswered deferred request's reply goes.
+  struct ReplyTo {
+    Network* network = nullptr;
+    std::string self_id;
+    std::string reply_to;
+    uint64_t request_id = 0;
+  };
+  /// Outstanding deferred requests keyed by (timeout instant, sequence), so
+  /// begin() times out first. Shared with every responder: a completion
+  /// that arrives after Stop() or the dispatcher's destruction finds its
+  /// entry gone and is dropped.
+  struct Outstanding {
+    Mutex mu;
+    uint64_t next_seq GUARDED_BY(mu) = 0;
+    std::map<std::pair<int64_t, uint64_t>, ReplyTo> calls GUARDED_BY(mu);
+  };
+
+  /// Looks up and runs the method, then sends the response (a deferred
+  /// method's response goes out when its responder is called).
   void Execute(Network* network, const std::string& self_id,
                const std::string& reply_to, uint64_t request_id,
                const std::string& method, const Slice& body);
   static void Reply(Network* network, const std::string& self_id,
                     const std::string& reply_to, uint64_t request_id,
                     const Status& status, const std::string& body);
+  static void Reply(const ReplyTo& to, const Status& status,
+                    const std::string& body) {
+    Reply(to.network, to.self_id, to.reply_to, to.request_id, status, body);
+  }
   void WorkerLoop();
+  /// Moves the next timeout sweep earlier to `at_millis` if needed.
+  void ScheduleSweepLocked(int64_t at_millis) REQUIRES(mu_);
+  /// Takes the due timeout sweep, if any (the caller then runs
+  /// SweepDeferred outside mu_).
+  bool ClaimSweepLocked() REQUIRES(mu_);
+  /// Answers every expired deferred request TimedOut and schedules the
+  /// next sweep.
+  void SweepDeferred() EXCLUDES(mu_);
 
   std::map<std::string, RpcMethod> methods_;
+  std::map<std::string, Deferred> deferred_methods_;
   RpcServerOptions options_;
+  const std::shared_ptr<Outstanding> outstanding_ =
+      std::make_shared<Outstanding>();
 
   mutable Mutex mu_;
   bool running_ GUARDED_BY(mu_) = false;
   std::deque<QueuedRequest> queue_ GUARDED_BY(mu_);
   RpcServerStats stats_ GUARDED_BY(mu_);
+  /// Steady-clock instant of the earliest deferred timeout not yet swept
+  /// (0 = none scheduled).
+  int64_t sweep_at_millis_ GUARDED_BY(mu_) = 0;
   CondVar cv_;
   std::vector<std::thread> workers_;
 };

@@ -136,9 +136,7 @@ Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
   };
   struct TxnDelta {
     std::vector<Extracted> values;  // one per target
-    std::string record;             // encoded transaction (the ALI record)
-    Hash256 record_hash{};          // SHA-256(record) — the MB-tree leaf
-    bool has_record = false;
+    Hash256 record_hash{};  // SHA-256(encoded txn) — the MB-tree leaf
   };
   std::vector<TxnDelta> deltas(txns.size());
   auto extract_one = [&](uint64_t i) {
@@ -151,9 +149,11 @@ Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
       covered_by_ali |= d.values[t].present && targets[t].ali != nullptr;
     }
     if (covered_by_ali) {
-      txns[i].EncodeTo(&d.record);
-      d.record_hash = Sha256::Digest(d.record);
-      d.has_record = true;
+      // The encoded record is dropped once hashed: apply keeps MB-tree roots
+      // only, and a query rebuilds the tree from the stored block.
+      std::string record;
+      txns[i].EncodeTo(&record);
+      d.record_hash = Sha256::Digest(record);
     }
   };
   if (pool != nullptr) {
@@ -189,20 +189,15 @@ Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
     if (targets[t].ali != nullptr) {
       merges.push_back([&, t]() -> Status {
         std::vector<std::pair<Value, uint32_t>> entries;
-        std::vector<MbTree::Entry> mb_entries;
+        std::vector<Hash256> record_hashes;
         for (uint32_t i = 0; i < txns.size(); i++) {
           const TxnDelta& d = deltas[i];
           if (!d.values[t].present) continue;
           entries.emplace_back(d.values[t].value, i);
-          MbTree::Entry entry;
-          entry.key = d.values[t].value;
-          entry.record = d.record;
-          entry.record_hash = d.record_hash;
-          entry.has_record_hash = d.has_record;
-          mb_entries.push_back(std::move(entry));
+          record_hashes.push_back(d.record_hash);
         }
         return targets[t].ali->MergeTxnDeltas(height, std::move(entries),
-                                              std::move(mb_entries));
+                                              std::move(record_hashes));
       });
     }
   }

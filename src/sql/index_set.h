@@ -78,7 +78,8 @@ class IndexSet {
   ///
   /// Extract: one ParallelFor over the transactions computes each one's
   /// value for every layered/ALI target and, when an ALI covers it, the
-  /// encoded record and its SHA-256 (the MB-tree leaf), shared by every ALI.
+  /// SHA-256 of its encoded record (the MB-tree leaf), shared by every ALI.
+  /// The record itself is not kept: ALIs store MB-tree roots only.
   /// Each transaction writes only its own slot.
   ///
   /// Merge: every structure ingests the slots in block order

@@ -2,6 +2,8 @@
 // rejection), the ALI two-phase protocol and the credibility formula.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "auth/ali.h"
 #include "auth/credibility.h"
 #include "auth/mbtree.h"
@@ -190,6 +192,35 @@ TEST(MbTreeTest, WrongRootRejected) {
                   .IsVerificationFailed());
 }
 
+// Block apply records MbTree::ComputeRoot over the sorted record hashes
+// instead of building the tree; both must hash the same levels.
+TEST(MbTreeTest, ComputeRootMatchesBuild) {
+  Random rng(0xa11);
+  for (size_t fanout : {2u, 4u, 16u}) {
+    MbTree::Options options;
+    options.fanout = fanout;
+    for (int round = 0; round < 40; round++) {
+      const size_t n = rng.Uniform(round < 5 ? 3 : 300);
+      std::vector<MbTree::Entry> entries;
+      for (size_t i = 0; i < n; i++) {
+        // Few distinct keys, so duplicates are common.
+        const int64_t key = static_cast<int64_t>(rng.Uniform(n / 4 + 2));
+        entries.push_back({Value::Int(key), "rec" + std::to_string(key) +
+                                                "#" + std::to_string(i)});
+      }
+      std::stable_sort(entries.begin(), entries.end(),
+                       [](const MbTree::Entry& a, const MbTree::Entry& b) {
+                         return a.key.CompareTotal(b.key) < 0;
+                       });
+      std::vector<Hash256> hashes;
+      for (const auto& e : entries) hashes.push_back(Sha256::Digest(e.record));
+      EXPECT_EQ(MbTree::ComputeRoot(hashes, options),
+                MbTree::Build(std::move(entries), options)->root_hash())
+          << "fanout " << fanout << " n " << n;
+    }
+  }
+}
+
 TEST(MbTreeTest, VoSerializationRoundTrip) {
   auto tree = MbTree::Build(MakeEntries({1, 2, 3, 4, 5, 6, 7, 8}));
   Value lo = Value::Int(3), hi = Value::Int(5);
@@ -234,27 +265,81 @@ Status TxnAmountKeyFn(const Slice& record, Value* key) {
   return Status::OK();
 }
 
+// A standalone ALI over blocks kept in memory: the loader serves its
+// MB-tree rebuilds, like the block store does inside IndexSet.
 class AliTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    LayeredIndexOptions options;
+  void SetUp() override { Init(/*num_blocks=*/10, LayeredIndexOptions()); }
+
+  // Block b holds amounts b*100 .. b*100+49.
+  void Init(int num_blocks, LayeredIndexOptions options) {
     options.histogram_buckets = 8;
     ali_ = std::make_unique<AuthenticatedLayeredIndex>("donate.amount.auth",
                                                        options,
                                                        AmountExtractor());
-    // 10 blocks, block b holds amounts b*100 .. b*100+49.
-    for (int b = 0; b < 10; b++) {
+    ali_->SetBlockLoader(
+        [this](BlockId bid, std::shared_ptr<const Block>* out) -> Status {
+          loads_++;
+          if (bid >= blocks_.size()) return Status::NotFound("no block");
+          *out = blocks_[bid];
+          return Status::OK();
+        });
+    blocks_.clear();
+    for (int b = 0; b < num_blocks; b++) {
       std::vector<Transaction> txns;
       for (int i = 0; i < 50; i++) {
         txns.push_back(
             MakeTxn("donate", "org1", b * 100 + i, {Value::Int(b * 100 + i)}));
       }
-      ASSERT_TRUE(ali_->AddBlock(MakeBlockOf(b, std::move(txns))).ok());
+      blocks_.push_back(
+          std::make_shared<const Block>(MakeBlockOf(b, std::move(txns))));
+      ASSERT_TRUE(ali_->AddBlock(*blocks_.back()).ok());
     }
   }
 
+  std::vector<std::shared_ptr<const Block>> blocks_;
+  int loads_ = 0;
   std::unique_ptr<AuthenticatedLayeredIndex> ali_;
 };
+
+// Apply keeps only MB-tree roots: a long tail with no checkpoint holds no
+// tree, and proving over it rebuilds each visited block from the store,
+// bounded by the tree cache budget.
+TEST_F(AliTest, TailTreesRebuildFromStoreWithinCacheBudget) {
+  LayeredIndexOptions options;
+  options.materialized_cache_bytes = 64 << 10;
+  Init(/*num_blocks=*/300, options);
+  EXPECT_EQ(ali_->tree_cache_stats().entries, 0u);
+  EXPECT_EQ(ali_->tree_cache_stats().usage, 0u);
+  EXPECT_EQ(loads_, 0);
+
+  Value lo = Value::Int(10000), hi = Value::Int(25049);  // blocks 100..250
+  AuthQueryResponse response;
+  ASSERT_TRUE(ali_->ProveRange(&lo, &hi, nullptr, 300, &response).ok());
+  // Without a histogram the candidate set over-covers the range; every
+  // visited block is rebuilt once.
+  const size_t visited = response.proofs.size();
+  EXPECT_GE(visited, 151u);
+  EXPECT_EQ(loads_, static_cast<int>(visited));
+  Hash256 digest;
+  ASSERT_TRUE(ali_->ComputeDigest(&lo, &hi, nullptr, 300, &digest).ok());
+  std::vector<std::string> records;
+  ASSERT_TRUE(AuthenticatedLayeredIndex::VerifyResponse(
+                  response, &lo, &hi, TxnAmountKeyFn, {digest}, 1, &records)
+                  .ok());
+  EXPECT_EQ(records.size(), 151u * 50u);
+
+  const auto stats = ali_->tree_cache_stats();
+  EXPECT_GT(stats.entries, 0u);
+  EXPECT_LT(stats.entries, visited);  // the budget evicted older rebuilds
+  EXPECT_LE(stats.usage, options.materialized_cache_bytes);
+
+  // The newest rebuilt block is served from the cache.
+  std::shared_ptr<const MbTree> tree;
+  ASSERT_TRUE(ali_->Tree(response.proofs.back().block, &tree).ok());
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(loads_, static_cast<int>(visited));
+}
 
 TEST_F(AliTest, TwoPhaseProtocolVerifies) {
   Value lo = Value::Int(120), hi = Value::Int(335);

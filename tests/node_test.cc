@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "core/node.h"
 #include "core/procedure.h"
 #include "core/thin_client.h"
+#include "core/thin_client_transport.h"
 #include "tests/test_util.h"
 #include "network/sim_network.h"
 
@@ -391,6 +393,93 @@ TEST_F(ClusterTest, PbftClusterEndToEnd) {
   ASSERT_TRUE(cluster[3]->ExecuteSql("SELECT * FROM t", {}, &result).ok());
   EXPECT_EQ(result.num_rows(), 1u);
   for (auto& node : cluster) node->Stop();
+}
+
+// A one-node Kafka cluster whose batches cut on size (`batch`) well before
+// their long timeout, so a test can tell "submitted together" (one block)
+// from "each waited out its own batch window" (one block per txn).
+class SizeCutNodeTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kBatch = 16;
+
+  void SetUp() override {
+    dir_ = std::make_unique<ScratchDir>("size_cut");
+    ASSERT_TRUE(keystore_.AddIdentity("n0", "secret-n0").ok());
+    ASSERT_TRUE(keystore_.AddIdentity("org1", "secret-org1").ok());
+    NodeOptions options;
+    options.node_id = "n0";
+    options.data_dir = dir_->path() + "/n0";
+    options.participants = {"n0"};
+    options.enable_gossip = false;
+    options.enable_repair = false;
+    options.consensus_options.max_batch_txns = kBatch;
+    options.consensus_options.batch_timeout_millis = 1500;
+    options.rpc_server.workers = 1;
+    node_ = std::make_unique<SebdbNode>(options, &keystore_, nullptr);
+    ASSERT_TRUE(node_->Start(&net_).ok());
+    ResultSet rs;
+    ASSERT_TRUE(node_->ExecuteSql("CREATE t (v int)", {}, &rs).ok());
+  }
+
+  void TearDown() override { node_->Stop(); }
+
+  size_t BlockSize(BlockId height) {
+    std::shared_ptr<const Block> block;
+    EXPECT_TRUE(node_->chain().store()->ReadBlock(height, &block).ok());
+    return block == nullptr ? 0 : block->transactions().size();
+  }
+
+  SimNetwork net_;
+  std::unique_ptr<ScratchDir> dir_;
+  KeyStore keystore_;
+  std::unique_ptr<SebdbNode> node_;
+};
+
+// A multi-row INSERT submits every row before waiting, so its rows share a
+// batch instead of each waiting out a batch window of its own.
+TEST_F(SizeCutNodeTest, MultiRowInsertLandsInOneBlock) {
+  const uint64_t height = node_->chain().height();
+  std::string sql = "INSERT INTO t VALUES (0)";
+  for (int i = 1; i < 10; i++) sql += ", (" + std::to_string(i) + ")";
+  // Ten rows of a 16-txn batch: the size cut does not fire, the timeout
+  // cuts one block holding all ten.
+  ResultSet rs;
+  ASSERT_TRUE(node_->ExecuteSql(sql, {}, &rs).ok());
+  EXPECT_EQ(node_->chain().height(), height + 1);
+  EXPECT_EQ(BlockSize(height), 10u);
+  ResultSet result;
+  ASSERT_TRUE(node_->ExecuteSql("SELECT count(*) FROM t", {}, &result).ok());
+  EXPECT_EQ(result.rows[0][0].AsInt(), 10);
+}
+
+// thin.submit is deferred: the node's only RPC worker hands each txn to
+// consensus and moves on, so 16 concurrent remote writes fill one
+// size-cut batch instead of being served one batch window at a time.
+TEST_F(SizeCutNodeTest, ConcurrentThinSubmitsShareOneBlock) {
+  const uint64_t height = node_->chain().height();
+  std::vector<Transaction> txns(kBatch);
+  for (uint32_t i = 0; i < kBatch; i++) {
+    ASSERT_TRUE(node_->MakeInsertTransaction(
+                        "org1", "t", {Value::Int(static_cast<int64_t>(i))},
+                        &txns[i])
+                    .ok());
+  }
+  RpcThinTransport transport("thin-writer", &net_, {"n0"});
+  std::vector<Status> statuses(kBatch);
+  std::vector<uint64_t> heights(kBatch, 0);
+  std::vector<std::thread> writers;
+  for (uint32_t i = 0; i < kBatch; i++) {
+    writers.emplace_back([&, i] {
+      statuses[i] = transport.Submit("n0", txns[i], &heights[i]);
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  for (uint32_t i = 0; i < kBatch; i++) {
+    ASSERT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
+    EXPECT_EQ(heights[i], height + 1) << i;
+  }
+  EXPECT_EQ(node_->chain().height(), height + 1);
+  EXPECT_EQ(BlockSize(height), kBatch);
 }
 
 }  // namespace

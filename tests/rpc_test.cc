@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include "common/clock.h"
@@ -527,6 +528,228 @@ TEST(RpcTest, PartitionedServerTimesOut) {
   EXPECT_TRUE(transport.GetHeaders("n0", 0, &headers).ok());
   EXPECT_EQ(headers.size(), 1u);  // genesis
   node.Stop();
+}
+
+// ---- deferred methods ----
+
+// A raw client endpoint that records every rpc.response it receives, so a
+// test can count answers per request id (RpcClient drops duplicates).
+class ResponseProbe {
+ public:
+  ResponseProbe(SimNetwork* net, std::string id)
+      : net_(net), id_(std::move(id)) {
+    EXPECT_TRUE(net_->Register(id_, [this](const Message& m) { OnMessage(m); })
+                    .ok());
+  }
+  ~ResponseProbe() { net_->Unregister(id_); }
+
+  void Send(const std::string& server, uint64_t request_id,
+            const std::string& method, const std::string& body) {
+    std::string payload;
+    PutFixed64(&payload, request_id);
+    PutFixed64(&payload, 0);  // no client budget
+    PutLengthPrefixed(&payload, method);
+    PutLengthPrefixed(&payload, body);
+    net_->Send(Message{RpcDispatcher::kRequestType, id_, server, payload});
+  }
+
+  struct Answer {
+    Status::Code code;
+    std::string body;
+  };
+
+  // Waits until `count` answers in total arrived (false on timeout).
+  bool WaitForAnswers(size_t count, int timeout_ms = 5000) {
+    const int64_t deadline = SteadyNowMillis() + timeout_ms;
+    MutexLock lock(&mu_);
+    while (total_ < count) {
+      const int64_t remaining = deadline - SteadyNowMillis();
+      if (remaining <= 0) return false;
+      cv_.WaitFor(mu_, std::chrono::milliseconds(remaining));
+    }
+    return true;
+  }
+
+  std::map<uint64_t, std::vector<Answer>> answers() {
+    MutexLock lock(&mu_);
+    return answers_;
+  }
+
+ private:
+  void OnMessage(const Message& message) {
+    Slice input(message.payload);
+    uint64_t request_id;
+    Slice msg, body;
+    ASSERT_TRUE(GetFixed64(&input, &request_id));
+    ASSERT_FALSE(input.empty());
+    auto code = static_cast<Status::Code>(input[0]);
+    input.remove_prefix(1);
+    ASSERT_TRUE(GetLengthPrefixed(&input, &msg));
+    ASSERT_TRUE(GetLengthPrefixed(&input, &body));
+    MutexLock lock(&mu_);
+    answers_[request_id].push_back(Answer{code, body.ToString()});
+    total_++;
+    cv_.NotifyAll();
+  }
+
+  SimNetwork* net_;
+  const std::string id_;
+  Mutex mu_;
+  CondVar cv_;
+  std::map<uint64_t, std::vector<Answer>> answers_ GUARDED_BY(mu_);
+  size_t total_ GUARDED_BY(mu_) = 0;
+};
+
+// Holds the responders a deferred "park" method receives.
+class ParkedRequests {
+ public:
+  DeferredRpcMethod Method() {
+    return [this](const Slice& request, RpcResponder respond) {
+      MutexLock lock(&mu_);
+      parked_[request.ToString()] = std::move(respond);
+      cv_.NotifyAll();
+    };
+  }
+
+  bool WaitForParked(size_t count, int timeout_ms = 5000) {
+    const int64_t deadline = SteadyNowMillis() + timeout_ms;
+    MutexLock lock(&mu_);
+    while (parked_.size() < count) {
+      const int64_t remaining = deadline - SteadyNowMillis();
+      if (remaining <= 0) return false;
+      cv_.WaitFor(mu_, std::chrono::milliseconds(remaining));
+    }
+    return true;
+  }
+
+  RpcResponder Get(const std::string& key) {
+    MutexLock lock(&mu_);
+    return parked_.at(key);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  std::map<std::string, RpcResponder> parked_ GUARDED_BY(mu_);
+};
+
+void ServeOnNetwork(SimNetwork* net, RpcDispatcher* dispatcher) {
+  ASSERT_TRUE(net->Register("server",
+                            [net, dispatcher](const Message& m) {
+                              dispatcher->HandleMessage(net, "server", m);
+                            })
+                  .ok());
+}
+
+// One worker holds eight deferred requests open at once, answers them out
+// of order exactly once each, and still serves a plain method meanwhile.
+TEST(RpcDeferredTest, OneWorkerHoldsManyOutstandingRequests) {
+  SimNetwork net;
+  RpcDispatcher dispatcher;
+  ParkedRequests parked;
+  dispatcher.RegisterDeferredMethod("park", parked.Method(),
+                                    /*timeout_millis=*/30000);
+  dispatcher.RegisterMethod(
+      "echo", [](const Slice& request, std::string* response) {
+        *response = request.ToString();
+        return Status::OK();
+      });
+  RpcServerOptions server_options;
+  server_options.workers = 1;
+  dispatcher.Start(server_options);
+  ServeOnNetwork(&net, &dispatcher);
+  ResponseProbe probe(&net, "probe");
+
+  for (uint64_t id = 1; id <= 8; id++) {
+    probe.Send("server", id, "park", std::to_string(id));
+  }
+  ASSERT_TRUE(parked.WaitForParked(8));
+
+  RpcClient client("client-1", &net);
+  std::string response;
+  ASSERT_TRUE(client.Call("server", "echo", "still served", &response).ok());
+  EXPECT_EQ(response, "still served");
+
+  for (uint64_t id : {8, 3, 5, 1, 7, 2, 6, 4}) {
+    RpcResponder respond = parked.Get(std::to_string(id));
+    respond(Status::OK(), "r" + std::to_string(id));
+    respond(Status::IOError("second answer"), "");  // dropped
+  }
+  ASSERT_TRUE(probe.WaitForAnswers(8));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto answers = probe.answers();
+  ASSERT_EQ(answers.size(), 8u);
+  for (uint64_t id = 1; id <= 8; id++) {
+    ASSERT_EQ(answers[id].size(), 1u) << id;
+    EXPECT_EQ(answers[id][0].code, Status::Code::kOk);
+    EXPECT_EQ(answers[id][0].body, "r" + std::to_string(id));
+  }
+  EXPECT_EQ(dispatcher.stats().deferred_timed_out, 0u);
+  dispatcher.Stop();
+  net.Unregister("server");
+}
+
+// An unanswered deferred request gets exactly one TimedOut after its
+// method's timeout; the completion that arrives later is dropped.
+TEST(RpcDeferredTest, UnansweredRequestTimesOutOnce) {
+  SimNetwork net;
+  RpcDispatcher dispatcher;
+  ParkedRequests parked;
+  dispatcher.RegisterDeferredMethod("park", parked.Method(),
+                                    /*timeout_millis=*/100);
+  RpcServerOptions server_options;
+  server_options.workers = 1;
+  dispatcher.Start(server_options);
+  ServeOnNetwork(&net, &dispatcher);
+  ResponseProbe probe(&net, "probe");
+
+  const int64_t start = SteadyNowMillis();
+  probe.Send("server", 1, "park", "late");
+  ASSERT_TRUE(parked.WaitForParked(1));
+  ASSERT_TRUE(probe.WaitForAnswers(1));
+  EXPECT_GE(SteadyNowMillis() - start, 100);
+
+  parked.Get("late")(Status::OK(), "too late");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto answers = probe.answers();
+  ASSERT_EQ(answers[1].size(), 1u);
+  EXPECT_EQ(answers[1][0].code, Status::Code::kTimedOut);
+  EXPECT_EQ(dispatcher.stats().deferred_timed_out, 1u);
+  dispatcher.Stop();
+  net.Unregister("server");
+}
+
+// Stop() answers every outstanding deferred request Aborted, once.
+TEST(RpcDeferredTest, StopAbortsOutstandingRequestsOnce) {
+  SimNetwork net;
+  RpcDispatcher dispatcher;
+  ParkedRequests parked;
+  dispatcher.RegisterDeferredMethod("park", parked.Method(),
+                                    /*timeout_millis=*/30000);
+  RpcServerOptions server_options;
+  server_options.workers = 1;
+  dispatcher.Start(server_options);
+  ServeOnNetwork(&net, &dispatcher);
+  ResponseProbe probe(&net, "probe");
+
+  for (uint64_t id = 1; id <= 3; id++) {
+    probe.Send("server", id, "park", std::to_string(id));
+  }
+  ASSERT_TRUE(parked.WaitForParked(3));
+  dispatcher.Stop();
+  dispatcher.Stop();  // idempotent: nothing left to abort
+  ASSERT_TRUE(probe.WaitForAnswers(3));
+  for (uint64_t id = 1; id <= 3; id++) {
+    parked.Get(std::to_string(id))(Status::OK(), "after stop");  // dropped
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto answers = probe.answers();
+  ASSERT_EQ(answers.size(), 3u);
+  for (uint64_t id = 1; id <= 3; id++) {
+    ASSERT_EQ(answers[id].size(), 1u) << id;
+    EXPECT_EQ(answers[id][0].code, Status::Code::kAborted);
+  }
+  net.Unregister("server");
 }
 
 }  // namespace
