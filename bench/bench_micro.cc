@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the building blocks whose costs
-// drive the figure-level results: SHA-256, Merkle tree construction,
+// drive the figure-level results: SHA-256, CRC-32, Merkle tree construction,
 // B+-tree insert/seek/bulk-load, MB-tree build/prove/verify, bitmap AND,
 // block encode/decode and single-transaction random decode.
 #include <benchmark/benchmark.h>
@@ -9,6 +9,7 @@
 
 #include "auth/mbtree.h"
 #include "common/bitmap.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "common/sha256.h"
 #include "index/bptree.h"
@@ -26,6 +27,15 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(300)->Arg(4096)->Arg(1 << 20);
+
+void BM_Crc32(benchmark::State& state) {
+  std::string data(state.range(0), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(Slice(data)));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(300)->Arg(4096)->Arg(1 << 20);
 
 void BM_MerkleTreeBuild(benchmark::State& state) {
   std::vector<Hash256> leaves;

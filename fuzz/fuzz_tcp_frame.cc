@@ -45,6 +45,16 @@ int FuzzTcpFrame(const uint8_t* data, size_t size) {
           message2.payload != message.payload) {
         __builtin_trap();
       }
+      // Senders write the head and the payload separately: together they
+      // must be the same frame.
+      std::string head;
+      EncodeFrameHead(message, &head);
+      if (head.size() + message.payload.size() != reencoded.size() ||
+          reencoded.compare(0, head.size(), head) != 0 ||
+          reencoded.compare(head.size(), std::string::npos,
+                            message.payload) != 0) {
+        __builtin_trap();
+      }
     }
   }
 

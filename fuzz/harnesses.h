@@ -8,7 +8,9 @@
 // back from disk):
 //   - Transaction / Value binary decode (gossip payloads, block bodies)
 //   - Block record decode + header + Merkle validation (gossip, segments)
-//   - varint / fixed / length-prefixed coding primitives
+//   - varint / fixed / length-prefixed coding primitives (the same harness
+//     also checks SHA-NI against portable SHA-256 and slicing-by-8 against
+//     bytewise CRC-32 on every input)
 //   - SQL lexer + parser (client-submitted statements)
 //   - MB-tree verification-object decode + range verification (query proofs)
 //   - checkpoint page images + manifest records (index persistence files)

@@ -14,7 +14,11 @@
 #          — errors must be propagated or explicitly handled;
 #        - no *_clock::now() outside common/clock.* — time flows through
 #          NowMicros/SteadyNowMicros so tests and the lint can reason
-#          about it in one place.
+#          about it in one place;
+#        - no global ISA flags (-march=, -msha, -msse4) in any CMakeLists.txt
+#          or CMakePresets.json — ISA-specific code enters only through
+#          function-level target attributes behind a CPUID check, so the
+#          binaries still run on CPUs without those extensions.
 #   2. clang-tidy (bugprone-*, concurrency-*, performance-*; see .clang-tidy)
 #      over every translation unit in src/, using the build dir's
 #      compile_commands.json. Skipped with a notice when clang-tidy is not
@@ -106,6 +110,14 @@ clock_calls=$(grep -rnE '(system_clock|steady_clock|high_resolution_clock)::now\
   | grep -vE '^src/common/clock\.(h|cc):' || true)
 if [ -n "${clock_calls}" ]; then
   fail "clock read outside common/clock.* (use NowMicros/SteadyNowMicros):" "${clock_calls}"
+fi
+
+# Global ISA flags in the build files.
+isa_flags=$(grep -rnE -e '-march=|-msha|-msse4' \
+  --include='CMakeLists.txt' --include='CMakePresets.json' \
+  --exclude-dir='build*' --exclude-dir='.bench_build' --exclude-dir='.git' . || true)
+if [ -n "${isa_flags}" ]; then
+  fail "global ISA flag in a build file (use a function-level target attribute behind a CPUID check):" "${isa_flags}"
 fi
 
 if [ "${failed}" -eq 0 ]; then

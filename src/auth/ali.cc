@@ -19,9 +19,12 @@ Status AliBlockProof::DecodeFrom(Slice* input, AliBlockProof* out) {
 }
 
 size_t AuthQueryResponse::ByteSize() const {
-  std::string enc;
-  EncodeTo(&enc);
-  return enc.size();
+  size_t n = VarintLength(chain_height) +
+             VarintLength(static_cast<uint32_t>(proofs.size()));
+  for (const auto& proof : proofs) {
+    n += VarintLength(proof.block) + proof.vo.ByteSize();
+  }
+  return n;
 }
 
 void AuthQueryResponse::EncodeTo(std::string* dst) const {

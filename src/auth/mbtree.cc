@@ -57,13 +57,30 @@ std::vector<std::vector<Hash256>> LevelHashes(
 
 }  // namespace
 
-size_t VerificationObject::ByteSize() const {
-  std::string enc;
-  EncodeTo(&enc);
-  return enc.size();
-}
-
 namespace {
+
+/// Bytes EncodeVoNode appends for `node`, summed without encoding it.
+size_t VoNodeSize(const VerificationObject::Node& node) {
+  size_t n = 1;  // kind
+  switch (node.kind) {
+    case VerificationObject::Kind::kPruned:
+      n += 32;
+      break;
+    case VerificationObject::Kind::kLeaf:
+      n += VarintLength(static_cast<uint32_t>(node.entries.size()));
+      for (const auto& entry : node.entries) {
+        n += 1 + (entry.full ? VarintLength(entry.record.size()) +
+                                   entry.record.size()
+                             : 32);
+      }
+      break;
+    case VerificationObject::Kind::kInternal:
+      n += VarintLength(static_cast<uint32_t>(node.children.size()));
+      for (const auto& child : node.children) n += VoNodeSize(child);
+      break;
+  }
+  return n;
+}
 
 void EncodeVoNode(const VerificationObject::Node& node, std::string* dst) {
   dst->push_back(static_cast<char>(node.kind));
@@ -142,6 +159,8 @@ Status DecodeVoNode(Slice* input, VerificationObject::Node* out, int depth) {
 }
 
 }  // namespace
+
+size_t VerificationObject::ByteSize() const { return VoNodeSize(root); }
 
 void VerificationObject::EncodeTo(std::string* dst) const {
   EncodeVoNode(root, dst);

@@ -19,6 +19,13 @@ void PutVarint64(std::string* dst, uint64_t value);
 /// Appends a varint length prefix followed by the bytes of value.
 void PutLengthPrefixed(std::string* dst, const Slice& value);
 
+/// Bytes PutVarint32/PutVarint64 append for `value`.
+inline size_t VarintLength(uint64_t value) {
+  size_t n = 1;
+  for (; value >= 0x80; value >>= 7) n++;
+  return n;
+}
+
 bool GetFixed16(Slice* input, uint16_t* value);
 bool GetFixed32(Slice* input, uint32_t* value);
 bool GetFixed64(Slice* input, uint64_t* value);

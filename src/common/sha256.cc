@@ -1,6 +1,12 @@
 #include "common/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace sebdb {
 
@@ -27,6 +33,69 @@ inline int HexVal(char c) {
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
 }
+
+#if defined(__x86_64__)
+
+bool CpuHasShaNi() {
+  unsigned eax, ebx, ecx, edx;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sha = (ebx & bit_SHA) != 0;  // leaf 7, EBX bit 29
+  return ssse3 && sse41 && sha;
+}
+
+// Four rounds per step: the state lives as ABEF/CDGH (the layout
+// sha256rnds2 wants), msg[] holds the next 16 schedule words as four
+// 4-word groups, and each step derives group i+4 from groups i..i+3.
+__attribute__((target("sha,sse4.1,ssse3"))) void ShaNiCompress(
+    uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);              // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);            // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);    // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);         // CDGH
+
+  for (; nblocks > 0; nblocks--, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];
+    for (int i = 0; i < 4; i++) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          kByteSwap);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; i++) {
+      __m128i wk = _mm_add_epi32(
+          msg[i & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (i < 12) {
+        __m128i next = _mm_sha256msg1_epu32(msg[i & 3], msg[(i + 1) & 3]);
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(msg[(i + 3) & 3], msg[(i + 2) & 3], 4));
+        msg[i & 3] = _mm_sha256msg2_epu32(next, msg[(i + 3) & 3]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);             // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);            // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);         // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);            // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), cdgh);
+}
+
+#endif  // defined(__x86_64__)
 
 }  // namespace
 
@@ -65,87 +134,123 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; i++) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; i++) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+namespace detail {
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                            size_t nblocks) {
+  for (; nblocks > 0; nblocks--, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; i++) {
+      w[i] = (static_cast<uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; i++) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
 
-  for (int i = 0; i < 64; i++) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; i++) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
+
+#if defined(__x86_64__)
+
+bool Sha256CompressAccelerated(uint32_t state[8], const uint8_t* blocks,
+                               size_t nblocks) {
+  static const bool supported = CpuHasShaNi();
+  if (!supported) return false;
+  ShaNiCompress(state, blocks, nblocks);
+  return true;
+}
+
+#else
+
+bool Sha256CompressAccelerated(uint32_t*, const uint8_t*, size_t) {
+  return false;
+}
+
+#endif  // defined(__x86_64__)
+
+}  // namespace detail
+
+namespace {
+
+void Compress(uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
+  if (!detail::Sha256CompressAccelerated(state, blocks, nblocks)) {
+    detail::Sha256CompressPortable(state, blocks, nblocks);
+  }
+}
+
+}  // namespace
 
 void Sha256::Update(const void* data, size_t len) {
   const auto* p = static_cast<const uint8_t*>(data);
   bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= 64) {
-      ProcessBlock(p);
-      p += 64;
-      len -= 64;
-      continue;
-    }
-    size_t take = 64 - buffer_len_;
-    if (take > len) take = len;
+  if (buffer_len_ > 0) {
+    const size_t take = std::min(len, 64 - buffer_len_);
     memcpy(buffer_ + buffer_len_, p, take);
     buffer_len_ += take;
     p += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  const size_t whole = len / 64;
+  if (whole > 0) {
+    Compress(state_, p, whole);
+    p += whole * 64;
+    len -= whole * 64;
+  }
+  if (len > 0) {
+    memcpy(buffer_, p, len);
+    buffer_len_ = len;
   }
 }
 
 Hash256 Sha256::Finish() {
-  uint64_t bits = bit_count_;
-  // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit big-endian length.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; i++) {
-    len_be[i] = static_cast<uint8_t>((bits >> (56 - 8 * i)) & 0xff);
+  // Append 0x80, zero-pad to 56 mod 64, then the 64-bit big-endian length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  // Bypass Update's bit counting for the length field itself.
-  memcpy(buffer_ + buffer_len_, len_be, 8);
-  ProcessBlock(buffer_);
+  memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; i++) {
+    buffer_[56 + i] = static_cast<uint8_t>((bit_count_ >> (56 - 8 * i)) & 0xff);
+  }
+  Compress(state_, buffer_, 1);
 
   Hash256 out;
   for (int i = 0; i < 8; i++) {

@@ -1,5 +1,8 @@
 // Standalone SHA-256 (FIPS 180-4). Used for block hashes, Merkle trees and
-// the keyed-hash signature scheme. No external crypto dependency.
+// the keyed-hash signature scheme. No external crypto dependency. On x86-64
+// CPUs with the SHA extensions the compression function runs on SHA-NI,
+// chosen once per process by CPUID; everywhere else the portable one runs.
+// Both produce identical digests.
 #pragma once
 
 #include <array>
@@ -51,12 +54,23 @@ class Sha256 {
   static Hash256 DigestPair(const Hash256& a, const Hash256& b);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];
   size_t buffer_len_;
 };
+
+namespace detail {
+
+/// Portable compression of `nblocks` consecutive 64-byte blocks into state.
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                            size_t nblocks);
+
+/// SHA-NI compression with the same contract. Returns false, leaving state
+/// untouched, when the CPU (or a non-x86-64 build) lacks the SHA extensions.
+bool Sha256CompressAccelerated(uint32_t state[8], const uint8_t* blocks,
+                               size_t nblocks);
+
+}  // namespace detail
 
 }  // namespace sebdb

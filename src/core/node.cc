@@ -195,8 +195,19 @@ Status SebdbNode::Start(Network* network) {
   // network worker thread dispatches incoming messages into both through
   // OnMessage, and on a restart peers may already have traffic in flight
   // for this endpoint.
-  s = network_->Register(options_.node_id,
-                         [this](const Message& m) { OnMessage(m); });
+  // With RPC workers, a request is only queued for them, so it is taken on
+  // the receiving thread instead of waiting behind consensus messages (and
+  // the block applies they run) on the endpoint's delivery thread.
+  s = network_->RegisterWithInline(
+      options_.node_id, [this](const Message& m) { OnMessage(m); },
+      [this](Message* m) {
+        if (options_.rpc_server.workers <= 0 ||
+            m->type != RpcDispatcher::kRequestType) {
+          return false;
+        }
+        rpc_dispatcher_.HandleMessage(network_, options_.node_id, *m);
+        return true;
+      });
   if (!s.ok()) return s;
 
   if (engine_ != nullptr) {

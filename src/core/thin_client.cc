@@ -13,12 +13,7 @@ int64_t NowMicros() { return SteadyNowMicros(); }
 
 RecordKeyFn ColumnKeyFn(int column_index) {
   return [column_index](const Slice& record, Value* key) -> Status {
-    Transaction txn;
-    Slice input = record;
-    Status s = Transaction::DecodeFrom(&input, &txn);
-    if (!s.ok()) return s;
-    *key = txn.GetColumn(column_index);
-    return Status::OK();
+    return Transaction::DecodeColumn(record, column_index, key);
   };
 }
 

@@ -27,17 +27,31 @@ bool IsAllowedMessageType(std::string_view type) {
 }
 
 void EncodeFrame(const Message& message, std::string* dst) {
-  std::string payload;
-  PutLengthPrefixed(&payload, message.type);
-  PutLengthPrefixed(&payload, message.from);
-  PutLengthPrefixed(&payload, message.to);
-  PutLengthPrefixed(&payload, message.payload);
+  EncodeFrameHead(message, dst);
+  dst->append(message.payload);
+}
 
+void EncodeFrameHead(const Message& message, std::string* dst) {
+  // The header goes out with zeroed length and CRC, the fields are appended
+  // straight after it, then both are patched in.
+  const size_t header = dst->size();
   PutFixed32(dst, kFrameMagic);
   dst->push_back(static_cast<char>(kFrameVersion));
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, Crc32(Slice(payload)));
-  dst->append(payload);
+  dst->append(8, '\0');
+  const size_t fields = dst->size();
+  PutLengthPrefixed(dst, message.type);
+  PutLengthPrefixed(dst, message.from);
+  PutLengthPrefixed(dst, message.to);
+  PutVarint64(dst, message.payload.size());
+
+  const size_t fields_len = dst->size() - fields;
+  char* base = dst->data();
+  const uint32_t crc =
+      Crc32(Crc32(0, base + fields, fields_len), message.payload.data(),
+            message.payload.size());
+  EncodeFixed32(base + header + 5,
+                static_cast<uint32_t>(fields_len + message.payload.size()));
+  EncodeFixed32(base + header + 9, crc);
 }
 
 Status DecodeFrameHeader(const char* data, size_t max_frame_bytes,

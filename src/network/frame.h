@@ -48,6 +48,13 @@ bool IsAllowedMessageType(std::string_view type);
 /// Appends one complete frame for `message` to `dst`.
 void EncodeFrame(const Message& message, std::string* dst);
 
+/// Appends the frame for `message` up to, but not including, the payload's
+/// bytes: the header (whose CRC already covers the payload) and the length-
+/// prefixed type, from, to and payload length. The head followed by
+/// message.payload is exactly EncodeFrame's output, so a sender can write
+/// the two with one gathered write instead of copying the payload.
+void EncodeFrameHead(const Message& message, std::string* dst);
+
 /// Validates the fixed-size header at `data` (must hold kFrameHeaderBytes).
 /// On OK, *out carries the payload length (already checked against
 /// `max_frame_bytes`) and the expected CRC.

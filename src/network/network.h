@@ -44,6 +44,9 @@ struct NetworkStats {
 class Network {
  public:
   using Handler = std::function<void(const Message&)>;
+  /// Receiving-thread hook (see RegisterWithInline): returns true when it
+  /// has fully handled the message, and may move from it only then.
+  using InlineHandler = std::function<bool(Message*)>;
   /// Peer liveness observation: `up` flips true when a supervised connection
   /// (or a registered in-process endpoint) to `peer` becomes usable, false
   /// when it is lost. Watchers run outside the network's internal locks but
@@ -57,6 +60,21 @@ class Network {
   /// by the network (handlers must be thread-safe w.r.t. the caller's own
   /// state, and are invoked serially per endpoint).
   virtual Status Register(const std::string& node_id, Handler handler) = 0;
+  /// Register, plus a hook that saves a thread hand-off: a transport with
+  /// receiving threads (TcpNetwork) offers each message that arrives from a
+  /// remote peer to `take_inline` on the thread that read it, and queues it
+  /// for `handler` only when the hook returns false. Meant for messages that
+  /// need no more than a lock and a queue push (RPC requests and replies).
+  /// The hook must be brief and thread-safe, is not serialized with
+  /// `handler`, and may run after Unregister has begun but never after it
+  /// returns. Transports without receiving threads (SimNetwork) hand every
+  /// message to `handler`, so `handler` must accept everything the hook does.
+  virtual Status RegisterWithInline(const std::string& node_id,
+                                    Handler handler,
+                                    InlineHandler take_inline) {
+    (void)take_inline;
+    return Register(node_id, std::move(handler));
+  }
   virtual Status Unregister(const std::string& node_id) = 0;
 
   /// Queues a message for delivery. Unknown destinations and down links

@@ -71,8 +71,8 @@ void RpcDispatcher::Reply(Network* network, const std::string& self_id,
   PutVarint64(&payload,
               static_cast<uint64_t>(std::max<int64_t>(
                   status.retry_after_millis(), 0)));
-  network->Send(
-      Message{RpcDispatcher::kResponseType, self_id, reply_to, payload});
+  network->Send(Message{RpcDispatcher::kResponseType, self_id, reply_to,
+                        std::move(payload)});
 }
 
 void RpcDispatcher::Execute(Network* network, const std::string& self_id,
@@ -270,8 +270,14 @@ RpcServerStats RpcDispatcher::stats() const {
 
 RpcClient::RpcClient(std::string client_id, Network* network)
     : client_id_(std::move(client_id)), network_(network) {
-  network_->Register(client_id_,
-                     [this](const Message& m) { OnResponse(m); });
+  // A reply only fills in its pending call and wakes the caller, so it is
+  // taken on the receiving thread rather than queued for a delivery thread.
+  network_->RegisterWithInline(
+      client_id_, [this](const Message& m) { OnResponse(m.type, m.payload); },
+      [this](Message* m) {
+        OnResponse(m->type, std::move(m->payload));
+        return true;
+      });
   watcher_token_ = network_->AddPeerWatcher(
       [this](const std::string& peer, bool up) {
         if (!up) OnPeerDown(peer);
@@ -296,9 +302,9 @@ void RpcClient::OnPeerDown(const std::string& peer) {
   if (failed_any) cv_.NotifyAll();
 }
 
-void RpcClient::OnResponse(const Message& message) {
-  if (message.type != RpcDispatcher::kResponseType) return;
-  Slice input(message.payload);
+void RpcClient::OnResponse(const std::string& type, std::string payload) {
+  if (type != RpcDispatcher::kResponseType) return;
+  Slice input(payload);
   uint64_t request_id;
   if (!GetFixed64(&input, &request_id)) return;
   if (input.empty()) return;
@@ -357,7 +363,12 @@ void RpcClient::OnResponse(const Message& message) {
       it->second.status = Status::Unavailable(status_msg.ToStringView());
       break;
   }
-  it->second.body = body.ToString();
+  // Keep the body in the payload's own buffer instead of copying it out.
+  const size_t body_offset = static_cast<size_t>(body.data() - payload.data());
+  const size_t body_size = body.size();
+  payload.erase(0, body_offset);
+  payload.resize(body_size);
+  it->second.body = std::move(payload);
   cv_.NotifyAll();
 }
 

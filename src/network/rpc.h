@@ -264,7 +264,8 @@ class RpcClient {
     Status status;
     std::string body;
   };
-  void OnResponse(const Message& message);
+  /// Fills in the pending call a reply answers; `payload` is consumed.
+  void OnResponse(const std::string& type, std::string payload);
   /// Peer-watcher callback: fails every pending call against `peer`.
   void OnPeerDown(const std::string& peer);
 

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -30,6 +31,30 @@ void SetNonBlocking(int fd) {
 void TuneSocket(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// One sendmsg over `first` then `second`.
+ssize_t SendGathered(int fd, const Slice& first, const Slice& second,
+                     int flags) {
+  iovec iov[2];
+  size_t n = 0;
+  for (const Slice* part : {&first, &second}) {
+    if (part->empty()) continue;
+    iov[n].iov_base = const_cast<char*>(part->data());
+    iov[n].iov_len = part->size();
+    n++;
+  }
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = n;
+  return ::sendmsg(fd, &msg, flags | MSG_NOSIGNAL);
+}
+
+/// Drops the first `n` bytes of `first` followed by `second`.
+void Consume(size_t n, Slice* first, Slice* second) {
+  const size_t from_first = std::min(n, first->size());
+  first->remove_prefix(from_first);
+  second->remove_prefix(n - from_first);
 }
 
 }  // namespace
@@ -275,6 +300,10 @@ void TcpNetwork::SupervisorLoop(Link* link) {
         stopped = true;
       } else {
         link->fd = fd;
+        // Whatever an inline send left belongs to the old connection.
+        link->closing = false;
+        link->send_failed = false;
+        link->unsent.clear();
       }
     }
     if (stopped) {
@@ -331,16 +360,15 @@ bool TcpNetwork::ReadFully(int fd, char* buffer, size_t n) {
   return true;
 }
 
-bool TcpNetwork::WriteFully(int fd, const char* data, size_t n,
+bool TcpNetwork::WriteFully(int fd, Slice first, Slice second,
                             bool* timed_out) {
   *timed_out = false;
   int64_t deadline = SteadyNowMillis() + options_.write_deadline_millis;
-  size_t done = 0;
-  while (done < n) {
+  while (!first.empty() || !second.empty()) {
     if (shutdown_.load(std::memory_order_acquire)) return false;
-    ssize_t w = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
+    ssize_t w = SendGathered(fd, first, second, 0);
     if (w > 0) {
-      done += static_cast<size_t>(w);
+      Consume(static_cast<size_t>(w), &first, &second);
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
@@ -362,15 +390,23 @@ bool TcpNetwork::WriteFully(int fd, const char* data, size_t n,
 }
 
 TcpNetwork::CloseReason TcpNetwork::WriterLoop(Link* link, int fd) {
+  const CloseReason reason = DrainLink(link, fd);
+  {
+    MutexLock lock(&link->mu);
+    link->closing = true;  // inline senders leave fd alone from here on
+  }
+  // The caller closes fd next: wait out an inline sender still writing.
+  MutexLock socket(&link->write_mu);
+  return reason;
+}
+
+TcpNetwork::CloseReason TcpNetwork::DrainLink(Link* link, int fd) {
   int64_t last_ping = SteadyNowMillis();
   while (true) {
-    Message message;
-    std::string control_frame;
-    bool have_user = false;
-    bool have_control = false;
     {
       MutexLock lock(&link->mu);
-      while (!link->stop && link->queue.empty() && link->control.empty()) {
+      while (!link->stop && !link->send_failed && link->unsent.empty() &&
+             link->queue.empty() && link->control.empty()) {
         int64_t now = SteadyNowMillis();
         int64_t ping_due = last_ping + options_.heartbeat_interval_millis;
         int64_t stale_at =
@@ -383,10 +419,25 @@ TcpNetwork::CloseReason TcpNetwork::WriterLoop(Link* link, int fd) {
       if (link->stop || shutdown_.load(std::memory_order_acquire)) {
         return CloseReason::kStop;
       }
-      if (!link->control.empty()) {
-        control_frame = std::move(link->control.front());
+      if (link->send_failed) return CloseReason::kError;
+    }
+    // Take the socket before dequeuing, so an inline sender (which writes
+    // only while the queue is empty) cannot overtake a dequeued message.
+    MutexLock socket(&link->write_mu);
+    Message message;
+    std::string frame;  // a control frame or an inline send's unsent tail
+    bool have_user = false;
+    bool have_frame = false;
+    {
+      MutexLock lock(&link->mu);
+      if (!link->unsent.empty()) {
+        frame = std::move(link->unsent);
+        link->unsent.clear();
+        have_frame = true;
+      } else if (!link->control.empty()) {
+        frame = std::move(link->control.front());
         link->control.pop_front();
-        have_control = true;
+        have_frame = true;
       } else if (!link->queue.empty()) {
         message = std::move(link->queue.front());
         link->queue.pop_front();
@@ -400,9 +451,8 @@ TcpNetwork::CloseReason TcpNetwork::WriterLoop(Link* link, int fd) {
     }
 
     bool timed_out = false;
-    if (have_control) {
-      if (!WriteFully(fd, control_frame.data(), control_frame.size(),
-                      &timed_out)) {
+    if (have_frame) {
+      if (!WriteFully(fd, Slice(frame), Slice(), &timed_out)) {
         return timed_out ? CloseReason::kWriteDeadline : CloseReason::kError;
       }
       continue;
@@ -422,17 +472,9 @@ TcpNetwork::CloseReason TcpNetwork::WriterLoop(Link* link, int fd) {
         }
         if (fault.reset) return CloseReason::kReset;
       }
-      std::string frame;
-      EncodeFrame(message, &frame);
-      if (frame.size() > kFrameHeaderBytes + options_.max_frame_bytes) {
-        // Our own message exceeds what the peer will accept; sending it
-        // would just cost us the connection.
-        MutexLock lock(&stats_mu_);
-        stats_.messages_dropped++;
-        tcp_stats_.oversize_send_drops++;
-        continue;
-      }
-      if (!WriteFully(fd, frame.data(), frame.size(), &timed_out)) {
+      std::string head;
+      if (!EncodeHeadWithinCap(message, &head)) continue;
+      if (!WriteFully(fd, Slice(head), Slice(message.payload), &timed_out)) {
         return timed_out ? CloseReason::kWriteDeadline : CloseReason::kError;
       }
       continue;
@@ -444,9 +486,8 @@ TcpNetwork::CloseReason TcpNetwork::WriterLoop(Link* link, int fd) {
         MutexLock lock(&link->mu);
         to = link->peer_id.empty() ? "peer" : link->peer_id;
       }
-      std::string frame;
       EncodeFrame(Message{"net.ping", options_.local_id, to, ""}, &frame);
-      if (!WriteFully(fd, frame.data(), frame.size(), &timed_out)) {
+      if (!WriteFully(fd, Slice(frame), Slice(), &timed_out)) {
         return timed_out ? CloseReason::kWriteDeadline : CloseReason::kError;
       }
       last_ping = now;
@@ -454,6 +495,66 @@ TcpNetwork::CloseReason TcpNetwork::WriterLoop(Link* link, int fd) {
       tcp_stats_.heartbeats_sent++;
     }
   }
+}
+
+bool TcpNetwork::EncodeHeadWithinCap(const Message& message,
+                                     std::string* head) {
+  EncodeFrameHead(message, head);
+  if (head->size() + message.payload.size() <=
+      kFrameHeaderBytes + options_.max_frame_bytes) {
+    return true;
+  }
+  // Our own message exceeds what the peer will accept; sending it would
+  // just cost us the connection.
+  MutexLock lock(&stats_mu_);
+  stats_.messages_dropped++;
+  tcp_stats_.oversize_send_drops++;
+  return false;
+}
+
+bool TcpNetwork::TakeIdleSocket(Link* link, int* fd) {
+  // Fault injection lives in the writer thread; keep every send there.
+  if (options_.send_fault || !link->write_mu.TryLock()) return false;
+  {
+    MutexLock lock(&link->mu);
+    // Write from this thread only when nothing is ahead of the message.
+    if (!link->stop && !link->closing && !link->send_failed &&
+        link->fd >= 0 && link->unsent.empty() && link->queue.empty() &&
+        link->control.empty()) {
+      *fd = link->fd;
+      return true;
+    }
+  }
+  link->write_mu.Unlock();
+  return false;
+}
+
+void TcpNetwork::WriteInline(Link* link, int fd, Message message) {
+  std::string head;
+  if (!EncodeHeadWithinCap(message, &head)) {
+    link->write_mu.Unlock();
+    return;
+  }
+  Slice first(head), second(message.payload);
+  ssize_t w;
+  do {
+    w = SendGathered(fd, first, second, MSG_DONTWAIT);
+  } while (w < 0 && errno == EINTR);
+  const bool failed = w < 0 && errno != EAGAIN && errno != EWOULDBLOCK;
+  if (w > 0) Consume(static_cast<size_t>(w), &first, &second);
+  if (failed || !first.empty() || !second.empty()) {
+    // The writer thread finishes the frame (or closes the connection)
+    // before it sends anything else.
+    MutexLock lock(&link->mu);
+    if (failed) {
+      link->send_failed = true;
+    } else {
+      link->unsent.assign(first.data(), first.size());
+      link->unsent.append(second.data(), second.size());
+    }
+    link->cv.NotifyAll();
+  }
+  link->write_mu.Unlock();
 }
 
 void TcpNetwork::ReaderLoop(Link* link, int fd) {
@@ -500,7 +601,7 @@ void TcpNetwork::HandleIncoming(Link* link, Message message) {
   }
   if (message.type == "net.pong") return;  // life signal already recorded
   if (!link->supervised) LearnRoute(message.from, link);
-  if (!DeliverLocal(&message)) {
+  if (!DeliverFromPeer(&message)) {
     MutexLock lock(&stats_mu_);
     stats_.messages_dropped++;
     stats_.unreachable_drops++;
@@ -567,6 +668,12 @@ void TcpNetwork::DropRoutes(Link* link) {
 }
 
 Status TcpNetwork::Register(const std::string& node_id, Handler handler) {
+  return RegisterWithInline(node_id, std::move(handler), nullptr);
+}
+
+Status TcpNetwork::RegisterWithInline(const std::string& node_id,
+                                      Handler handler,
+                                      InlineHandler take_inline) {
   {
     MutexLock lock(&endpoints_mu_);
     if (shutdown_.load(std::memory_order_acquire)) {
@@ -575,7 +682,8 @@ Status TcpNetwork::Register(const std::string& node_id, Handler handler) {
     if (endpoints_.contains(node_id)) {
       return Status::InvalidArgument("node already registered: " + node_id);
     }
-    auto endpoint = std::make_unique<Endpoint>(std::move(handler));
+    auto endpoint =
+        std::make_unique<Endpoint>(std::move(handler), std::move(take_inline));
     Endpoint* ep = endpoint.get();
     endpoints_[node_id] = std::move(endpoint);
     ep->worker = std::thread([this, ep] { EndpointWorkerLoop(ep); });
@@ -596,6 +704,7 @@ Status TcpNetwork::Unregister(const std::string& node_id) {
     endpoints_.erase(it);
     endpoint->stop = true;
     endpoint->cv.NotifyAll();
+    while (endpoint->inline_calls > 0) endpoint->cv.Wait(endpoints_mu_);
   }
   if (endpoint->worker.joinable()) endpoint->worker.join();
   NotifyPeerWatchers(node_id, /*up=*/false);
@@ -627,7 +736,39 @@ bool TcpNetwork::DeliverLocal(Message* message) {
   MutexLock lock(&endpoints_mu_);
   auto it = endpoints_.find(message->to);
   if (it == endpoints_.end()) return false;
-  Endpoint* ep = it->second.get();
+  QueueOnEndpointLocked(it->second.get(), message);
+  return true;
+}
+
+bool TcpNetwork::DeliverFromPeer(Message* message) {
+  Endpoint* ep;
+  {
+    MutexLock lock(&endpoints_mu_);
+    auto it = endpoints_.find(message->to);
+    if (it == endpoints_.end()) return false;
+    ep = it->second.get();
+    if (!ep->take_inline) {
+      QueueOnEndpointLocked(ep, message);
+      return true;
+    }
+    ep->inline_calls++;
+  }
+  // Outside the lock: the hook may Send. Unregister waits for inline_calls
+  // to drain before it frees the endpoint.
+  const bool taken = ep->take_inline(message);
+  MutexLock lock(&endpoints_mu_);
+  if (--ep->inline_calls == 0 && ep->stop) ep->cv.NotifyAll();
+  if (taken) {
+    MutexLock stats_lock(&stats_mu_);
+    stats_.messages_delivered++;
+    return true;
+  }
+  if (ep->stop) return false;  // unregistered meanwhile
+  QueueOnEndpointLocked(ep, message);
+  return true;
+}
+
+void TcpNetwork::QueueOnEndpointLocked(Endpoint* ep, Message* message) {
   ep->queue.push_back(std::move(*message));
   if (options_.max_delivery_queue_per_endpoint > 0 &&
       ep->queue.size() > options_.max_delivery_queue_per_endpoint) {
@@ -637,7 +778,6 @@ bool TcpNetwork::DeliverLocal(Message* message) {
     stats_.overflow_drops++;
   }
   ep->cv.NotifyAll();
-  return true;
 }
 
 void TcpNetwork::Send(Message message) {
@@ -650,25 +790,36 @@ void TcpNetwork::Send(Message message) {
   // Routing preference: local endpoint, then a supervised peer link, then a
   // dynamic route learned from an inbound connection (remote thin clients).
   if (DeliverLocal(&message)) return;
+  int fd;
   Link* link = FindSupervised(message.to);
   if (link != nullptr) {
-    EnqueueOnLink(link, std::move(message));
+    if (TakeIdleSocket(link, &fd)) {
+      WriteInline(link, fd, std::move(message));
+    } else {
+      EnqueueOnLink(link, std::move(message));
+    }
     return;
   }
   {
-    // Enqueue while still holding routes_mu_: an inbound link is only
-    // destroyed after DropRoutes has removed it from this map, so holding
-    // the map lock pins the Link alive for the enqueue.
+    // An inbound link is only destroyed after DropRoutes has removed it
+    // from this map and its writer has exited. So the map lock pins the
+    // Link for the enqueue, and past the map lock the write_mu of an idle
+    // (not closing) link pins it: the writer's exit waits for write_mu.
     MutexLock lock(&routes_mu_);
     auto it = routes_.find(message.to);
-    if (it != routes_.end()) {
-      EnqueueOnLink(it->second, std::move(message));
+    if (it == routes_.end()) {
+      MutexLock stats_lock(&stats_mu_);
+      stats_.messages_dropped++;
+      stats_.unreachable_drops++;
+      return;
+    }
+    link = it->second;
+    if (!TakeIdleSocket(link, &fd)) {
+      EnqueueOnLink(link, std::move(message));
       return;
     }
   }
-  MutexLock lock(&stats_mu_);
-  stats_.messages_dropped++;
-  stats_.unreachable_drops++;
+  WriteInline(link, fd, std::move(message));
 }
 
 void TcpNetwork::Broadcast(const std::string& from, const std::string& type,

@@ -127,6 +127,8 @@ class TcpNetwork : public Network {
 
   // --- Network interface ---
   Status Register(const std::string& node_id, Handler handler) override;
+  Status RegisterWithInline(const std::string& node_id, Handler handler,
+                            InlineHandler take_inline) override;
   Status Unregister(const std::string& node_id) override;
   void Send(Message message) override;
   void Broadcast(const std::string& from, const std::string& type,
@@ -147,12 +149,15 @@ class TcpNetwork : public Network {
   /// thread per registered id, so handlers are invoked serially per
   /// endpoint. All mutable state guarded by the outer endpoints_mu_.
   struct Endpoint {
-    explicit Endpoint(Handler h) : handler(std::move(h)) {}
+    Endpoint(Handler h, InlineHandler i)
+        : handler(std::move(h)), take_inline(std::move(i)) {}
     Handler handler;
+    InlineHandler take_inline;  // may be empty; immutable once registered
     std::deque<Message> queue;
     CondVar cv;
     std::thread worker;
     bool stop = false;
+    int inline_calls = 0;  // take_inline calls in flight; pins the endpoint
   };
 
   /// One live or reconnecting connection. Supervised links own a supervisor
@@ -176,6 +181,18 @@ class TcpNetwork : public Network {
     int fd GUARDED_BY(mu) = -1;
     bool stop GUARDED_BY(mu) = false;
 
+    /// Held by whichever thread writes a frame to fd: the writer, or a
+    /// sender that found the link idle and writes its message itself
+    /// (saving the hand-off to the writer). Taken before mu.
+    Mutex write_mu ACQUIRED_BEFORE(mu);
+    /// The writer is exiting; inline senders must queue instead.
+    bool closing GUARDED_BY(mu) = false;
+    /// The bytes of a frame an inline send could not finish without
+    /// blocking; the writer sends them before anything else.
+    std::string unsent GUARDED_BY(mu);
+    /// An inline send failed on the socket; the writer closes the link.
+    bool send_failed GUARDED_BY(mu) = false;
+
     std::atomic<int64_t> last_recv_millis{0};
     std::atomic<bool> up{false};
     std::atomic<bool> reader_done{false};  // inbound reaping
@@ -195,10 +212,24 @@ class TcpNetwork : public Network {
   /// close reason for stats.
   enum class CloseReason { kStop, kError, kStale, kWriteDeadline, kReset };
   CloseReason WriterLoop(Link* link, int fd);
+  /// WriterLoop's body; WriterLoop then fences off inline senders.
+  CloseReason DrainLink(Link* link, int fd);
   void ReaderLoop(Link* link, int fd);
   bool ReadFully(int fd, char* buffer, size_t n);
-  /// False on error or deadline; *timed_out distinguishes the two.
-  bool WriteFully(int fd, const char* data, size_t n, bool* timed_out);
+  /// Writes `first` then `second`. False on error or deadline; *timed_out
+  /// distinguishes the two.
+  bool WriteFully(int fd, Slice first, Slice second, bool* timed_out);
+  /// EncodeFrameHead, or false (counted as an oversize drop) when the frame
+  /// would exceed max_frame_bytes.
+  bool EncodeHeadWithinCap(const Message& message, std::string* head);
+  /// True, with link->write_mu held and *fd set, when this thread may write
+  /// to the link's socket itself: the link is up, its writer is not
+  /// exiting, and nothing is queued ahead. False, holding nothing, else.
+  bool TakeIdleSocket(Link* link, int* fd) TRY_ACQUIRE(true, link->write_mu);
+  /// Writes `message` to fd without blocking; the writer thread finishes a
+  /// partial frame, or closes the link on a socket error. Releases write_mu.
+  void WriteInline(Link* link, int fd, Message message)
+      RELEASE(link->write_mu);
   /// Sleeps the current (jittered, then doubled) backoff; wakes early on
   /// stop/shutdown.
   void SleepBackoff(Link* link, int64_t* backoff_millis);
@@ -208,6 +239,12 @@ class TcpNetwork : public Network {
   /// Queues onto the local endpoint for message->to, consuming *message;
   /// false (message untouched) if no such endpoint exists.
   bool DeliverLocal(Message* message);
+  /// DeliverLocal for a message read off a connection: offers it to the
+  /// endpoint's take_inline hook on this thread first.
+  bool DeliverFromPeer(Message* message);
+  /// Queues onto `ep` for its delivery thread. Requires endpoints_mu_.
+  void QueueOnEndpointLocked(Endpoint* ep, Message* message)
+      REQUIRES(endpoints_mu_);
   void EndpointWorkerLoop(Endpoint* endpoint);
   void QueueControl(Link* link, const Message& message);
   void EnqueueOnLink(Link* link, Message message);

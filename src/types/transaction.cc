@@ -84,6 +84,54 @@ Status Transaction::DecodeFrom(Slice* input, Transaction* out) {
   return Status::OK();
 }
 
+Status Transaction::DecodeColumn(const Slice& record, int index, Value* out) {
+  Slice input = record;
+  uint64_t tid;
+  if (!GetVarint64(&input, &tid)) {
+    return Status::Corruption("truncated transaction");
+  }
+  if (index == 0) {
+    *out = Value::Int(static_cast<int64_t>(tid));
+    return Status::OK();
+  }
+  int64_t ts;
+  if (!GetVarSigned64(&input, &ts)) {
+    return Status::Corruption("truncated transaction");
+  }
+  if (index == 1) {
+    *out = Value::Ts(ts);
+    return Status::OK();
+  }
+  // Columns 2..4 (signature, sender, tname) follow in encoding order.
+  for (int column = 2; column < Schema::kNumSystemColumns; column++) {
+    Slice field;
+    if (!GetLengthPrefixed(&input, &field)) {
+      return Status::Corruption("truncated transaction");
+    }
+    if (column == index) {
+      *out = Value::Str(field.ToString());
+      return Status::OK();
+    }
+  }
+  uint32_t n;
+  if (!GetVarint32(&input, &n)) {
+    return Status::Corruption("truncated transaction");
+  }
+  const int app = index - Schema::kNumSystemColumns;
+  for (uint32_t i = 0; i < n; i++) {
+    Value v;
+    if (!Value::DecodeFrom(&input, &v)) {
+      return Status::Corruption("truncated transaction value");
+    }
+    if (static_cast<int>(i) == app) {
+      *out = std::move(v);
+      return Status::OK();
+    }
+  }
+  *out = Value::Null();
+  return Status::OK();
+}
+
 Hash256 Transaction::Hash() const {
   std::string enc;
   EncodeTo(&enc);

@@ -55,6 +55,11 @@ class Transaction {
   /// Full binary encoding (appended to block bodies and gossip messages).
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice* input, Transaction* out);
+  /// GetColumn(index) of the transaction encoded in `record`, decoding only
+  /// up to that column: system columns never touch the values, and an
+  /// application column skips the ones before it. Corruption if the record
+  /// ends before the column.
+  static Status DecodeColumn(const Slice& record, int index, Value* out);
 
   /// SHA-256 over the full encoding; leaf hash of the block Merkle tree.
   Hash256 Hash() const;

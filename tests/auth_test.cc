@@ -239,6 +239,65 @@ TEST(MbTreeTest, VoSerializationRoundTrip) {
   EXPECT_EQ(records.size(), 3u);
 }
 
+VerificationObject::Node RandomVoNode(Random* rng, int depth) {
+  VerificationObject::Node node;
+  const uint64_t pick = depth >= 3 ? rng->Uniform(2) : rng->Uniform(3);
+  node.kind = static_cast<VerificationObject::Kind>(pick);
+  switch (node.kind) {
+    case VerificationObject::Kind::kPruned:
+      node.hash = Sha256::Digest(Slice(std::to_string(rng->Next())));
+      break;
+    case VerificationObject::Kind::kLeaf:
+      // Up to 200 entries and 300-byte records cross the 1-byte varint.
+      node.entries.resize(rng->Uniform(200));
+      for (auto& entry : node.entries) {
+        entry.full = rng->Uniform(2) == 1;
+        if (entry.full) {
+          entry.record = std::string(rng->Uniform(300), 'r');
+        } else {
+          entry.hash = Sha256::Digest(Slice(std::to_string(rng->Next())));
+        }
+      }
+      break;
+    case VerificationObject::Kind::kInternal:
+      for (uint64_t i = rng->Uniform(5); i > 0; i--) {
+        node.children.push_back(RandomVoNode(rng, depth + 1));
+      }
+      break;
+  }
+  return node;
+}
+
+size_t EncodedSize(const VerificationObject& vo) {
+  std::string buf;
+  vo.EncodeTo(&buf);
+  return buf.size();
+}
+
+TEST(MbTreeTest, ByteSizeMatchesEncoding) {
+  Random rng(60);
+  for (int trial = 0; trial < 200; trial++) {
+    VerificationObject vo;
+    vo.root = RandomVoNode(&rng, 0);
+    ASSERT_EQ(vo.ByteSize(), EncodedSize(vo)) << "trial " << trial;
+  }
+  // Pruned-only: an internal root whose children are all hashes.
+  VerificationObject pruned;
+  pruned.root.kind = VerificationObject::Kind::kInternal;
+  pruned.root.children.resize(3);
+  EXPECT_EQ(pruned.ByteSize(), EncodedSize(pruned));
+  // Proofs from real trees, the empty one included.
+  for (int n : {0, 1, 40, 500}) {
+    std::vector<int64_t> keys;
+    for (int k = 0; k < n; k++) keys.push_back(k);
+    auto tree = MbTree::Build(MakeEntries(keys));
+    Value lo = Value::Int(n / 3), hi = Value::Int(n / 2);
+    VerificationObject vo;
+    ASSERT_TRUE(tree->ProveRange(&lo, &hi, &vo).ok());
+    EXPECT_EQ(vo.ByteSize(), EncodedSize(vo)) << "n " << n;
+  }
+}
+
 // ---- ALI ----
 
 Block MakeBlockOf(BlockId height, std::vector<Transaction> txns) {
@@ -399,6 +458,26 @@ TEST_F(AliTest, SnapshotPinnedAtLowerHeight) {
                   response, &lo, &hi, TxnAmountKeyFn, {digest}, 1, &records)
                   .ok());
   EXPECT_EQ(records.size(), 250u);
+}
+
+TEST(AuthQueryResponseTest, ByteSizeMatchesEncoding) {
+  Random rng(61);
+  AuthQueryResponse empty;
+  std::string buf;
+  empty.EncodeTo(&buf);
+  EXPECT_EQ(empty.ByteSize(), buf.size());
+  for (int trial = 0; trial < 50; trial++) {
+    AuthQueryResponse response;
+    response.chain_height = rng.Next() >> rng.Uniform(64);
+    response.proofs.resize(rng.Uniform(150));
+    for (auto& proof : response.proofs) {
+      proof.block = rng.Next() >> rng.Uniform(64);
+      proof.vo.root = RandomVoNode(&rng, 1);
+    }
+    buf.clear();
+    response.EncodeTo(&buf);
+    ASSERT_EQ(response.ByteSize(), buf.size()) << "trial " << trial;
+  }
 }
 
 TEST_F(AliTest, ResponseSerializationRoundTrip) {

@@ -2,7 +2,9 @@
 // Bitmap, LRU cache, clocks and the PRNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -165,6 +167,90 @@ TEST(Sha256Test, KnownVectors) {
           Slice("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
           .ToHex(),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  // The 896-bit message: its padding spills into a second block.
+  EXPECT_EQ(Sha256::Digest(Slice("abcdefghbcdefghicdefghijdefghijkefghijkl"
+                                 "fghijklmghijklmnhijklmnoijklmnopjklmnopq"
+                                 "klmnopqrlmnopqrsmnopqrstnopqrstu"))
+                .ToHex(),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(Sha256::Digest(std::string(1000000, 'a')).ToHex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+std::string RandomBytes(Random* rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng->Next());
+  return out;
+}
+
+// Textbook padding over the portable compressor, independent of
+// Sha256::Update/Finish's buffering.
+Hash256 ReferenceDigest(const std::string& data) {
+  std::string padded = data;
+  padded.push_back(static_cast<char>(0x80));
+  while (padded.size() % 64 != 56) padded.push_back('\0');
+  const uint64_t bits = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; i--) {
+    padded.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  detail::Sha256CompressPortable(
+      state, reinterpret_cast<const uint8_t*>(padded.data()),
+      padded.size() / 64);
+  Hash256 out;
+  for (int i = 0; i < 8; i++) {
+    for (int b = 0; b < 4; b++) {
+      out.bytes[4 * i + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return out;
+}
+
+TEST(Sha256Test, AcceleratedMatchesPortable) {
+  Random rng(15);
+  uint32_t probe[8] = {};
+  const uint8_t block[64] = {};
+  if (!detail::Sha256CompressAccelerated(probe, block, 1)) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions (SHA-NI, SSSE3, SSE4.1); "
+                    "only the portable compressor runs here";
+  }
+  for (int trial = 0; trial < 200; trial++) {
+    const size_t nblocks = 1 + rng.Uniform(20);
+    const std::string data = RandomBytes(&rng, 64 * nblocks);
+    uint32_t portable[8];
+    for (uint32_t& word : portable) word = static_cast<uint32_t>(rng.Next());
+    uint32_t accelerated[8];
+    std::copy(portable, portable + 8, accelerated);
+    const auto* blocks = reinterpret_cast<const uint8_t*>(data.data());
+    detail::Sha256CompressPortable(portable, blocks, nblocks);
+    ASSERT_TRUE(
+        detail::Sha256CompressAccelerated(accelerated, blocks, nblocks));
+    for (int i = 0; i < 8; i++) {
+      ASSERT_EQ(portable[i], accelerated[i])
+          << "trial " << trial << " word " << i;
+    }
+  }
+}
+
+TEST(Sha256Test, EveryLengthAtRandomSplitsMatchesReference) {
+  Random rng(56);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 256; n++) lengths.push_back(n);
+  for (size_t n : {55, 56, 63, 64, 119, 120}) lengths.push_back(n);
+  for (size_t n : lengths) {
+    const std::string data = RandomBytes(&rng, n);
+    const Hash256 expected = ReferenceDigest(data);
+    ASSERT_EQ(Sha256::Digest(data), expected) << "length " << n;
+    Sha256 ctx;
+    size_t pos = 0;
+    while (pos < n) {
+      const size_t take = std::min<size_t>(n - pos, rng.Uniform(80));
+      ctx.Update(data.data() + pos, take);
+      pos += take;
+    }
+    ASSERT_EQ(ctx.Finish(), expected) << "length " << n;
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
@@ -191,6 +277,18 @@ TEST(Sha256Test, DigestPairDiffersFromConcatenationOrder) {
   EXPECT_NE(Sha256::DigestPair(a, b), Sha256::DigestPair(b, a));
 }
 
+uint32_t BytewiseCrc32(uint32_t crc, const std::string& data, size_t pos,
+                       size_t len) {
+  crc = ~crc;
+  for (size_t i = pos; i < pos + len; i++) {
+    crc ^= static_cast<uint8_t>(data[i]);
+    for (int k = 0; k < 8; k++) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
 TEST(Crc32Test, KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926.
   EXPECT_EQ(Crc32(Slice("123456789")), 0xcbf43926u);
@@ -200,6 +298,31 @@ TEST(Crc32Test, KnownVector) {
 TEST(Crc32Test, Incremental) {
   uint32_t whole = Crc32(Slice("hello world"));
   EXPECT_NE(whole, Crc32(Slice("hello worlx")));
+}
+
+TEST(Crc32Test, SlicingMatchesBytewiseAtEveryLengthAndAlignment) {
+  Random rng(32);
+  const std::string data = RandomBytes(&rng, 64 + 8);
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t len = 0; len <= 64; len++) {
+      ASSERT_EQ(Crc32(0, data.data() + align, len),
+                BytewiseCrc32(0, data, align, len))
+          << "align " << align << " len " << len;
+    }
+  }
+  const std::string big = RandomBytes(&rng, 1 << 20);
+  EXPECT_EQ(Crc32(Slice(big)), BytewiseCrc32(0, big, 0, big.size()));
+}
+
+TEST(Crc32Test, IncrementalAcrossSplitPointsMatchesOneShot) {
+  Random rng(8);
+  const std::string data = RandomBytes(&rng, 300);
+  const uint32_t whole = BytewiseCrc32(0, data, 0, data.size());
+  for (size_t split = 0; split <= data.size(); split++) {
+    const uint32_t head = Crc32(0, data.data(), split);
+    ASSERT_EQ(Crc32(head, data.data() + split, data.size() - split), whole)
+        << "split " << split;
+  }
 }
 
 TEST(BitmapTest, SetTestClear) {

@@ -60,6 +60,50 @@ TEST(FrameCodec, RoundTrip) {
   EXPECT_EQ(out.payload, in.payload);
 }
 
+std::string ToHex(const std::string& bytes) {
+  static const char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kHex[c >> 4]);
+    out.push_back(kHex[c & 0xf]);
+  }
+  return out;
+}
+
+// The wire bytes of a fixed message, appended after existing bytes, are
+// pinned: peers on either side of a change to the encoder must still agree.
+TEST(FrameCodec, EncodingIsByteStable) {
+  std::string body;
+  for (int i = 0; i < 13; i++) body += "0123456789";
+  std::string wire = "prefix";
+  EncodeFrame(MakeMessage("thin.prove", "client-7", "node-2", body), &wire);
+  std::string expected =
+      "707265666978"                // "prefix", left untouched
+      "53444242" "01"               // magic, version
+      "9f000000" "392e943c"         // payload length 159, payload CRC-32
+      "0a" "7468696e2e70726f7665"   // type
+      "08" "636c69656e742d37"       // from
+      "06" "6e6f64652d32"           // to
+      "8201";                       // body length 130, then the body
+  for (int i = 0; i < 13; i++) expected += "30313233343536373839";
+  EXPECT_EQ(ToHex(wire), expected);
+}
+
+// Senders write the head and the payload with one gathered write; the two
+// must be exactly the frame EncodeFrame builds.
+TEST(FrameCodec, HeadFollowedByPayloadIsTheFrame) {
+  for (size_t size : {size_t{0}, size_t{1}, size_t{127}, size_t{128},
+                      size_t{300000}}) {
+    std::string body(size, '\0');
+    for (size_t i = 0; i < size; i++) body[i] = static_cast<char>(i * 31);
+    const Message m = MakeMessage("rpc.response", "node1", "client-3", body);
+    std::string frame = "x", head = "x";
+    EncodeFrame(m, &frame);
+    EncodeFrameHead(m, &head);
+    EXPECT_EQ(head + m.payload, frame) << "payload of " << size << " bytes";
+  }
+}
+
 TEST(FrameCodec, RejectsBadMagicVersionLengthCrc) {
   Message in = MakeMessage("rpc.request", "c", "s", "body");
   std::string wire;
@@ -198,12 +242,14 @@ TEST(TcpNetworkTest, PeerWatcherSeesDownOnShutdownAndUpOnRestart) {
   ASSERT_TRUE(server->Start().ok());
   const uint16_t port = server->listen_port();
 
+  // Declared before the client: its supervisor threads run the watcher
+  // until the client is destroyed.
+  Mutex mu;
+  std::vector<std::pair<std::string, bool>> events;
   TcpNetworkOptions client_opts = Pair::Opts("client");
   client_opts.peers.push_back(TcpPeer{"server", "127.0.0.1", port});
   TcpNetwork client(client_opts);
 
-  Mutex mu;
-  std::vector<std::pair<std::string, bool>> events;
   client.AddPeerWatcher([&](const std::string& peer, bool up) {
     MutexLock lock(&mu);
     events.push_back({peer, up});
@@ -353,6 +399,147 @@ TEST(TcpNetworkTest, RpcOverTcpLoopback) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(response, "ping-pong");
   dispatcher.Stop();
+}
+
+// A sender writes its frame itself only while nothing is queued ahead of
+// it, and without blocking: when the receiver stalls, the socket buffers
+// fill, inline writes stop part-way and the link's writer finishes them.
+// Each sender's messages must still arrive whole and in order, with no
+// reconnect, also while two threads send on the same link.
+TEST(TcpNetworkTest, LargeFramesFromThreeSendersArriveWholeAndInOrder) {
+  TcpNetworkOptions server_opts = Pair::Opts("server");
+  server_opts.peer_down_after_millis = 10000;  // the stall is not silence
+  TcpNetwork server_net(server_opts);
+  ASSERT_TRUE(server_net.Start().ok());
+  Mutex mu;
+  std::vector<std::string> got;
+  std::atomic<bool> stalled{false};
+  ASSERT_TRUE(server_net
+                  .RegisterWithInline(
+                      "server",
+                      [&](const Message& m) {
+                        MutexLock lock(&mu);
+                        got.push_back(m.payload);
+                      },
+                      [&](Message*) {
+                        // Hold the reader thread once, so the client's
+                        // socket buffers fill up behind it.
+                        if (!stalled.exchange(true)) {
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(300));
+                        }
+                        return false;
+                      })
+                  .ok());
+  TcpNetworkOptions client_opts = Pair::Opts("client");
+  client_opts.peer_down_after_millis = 10000;
+  client_opts.peers.push_back(
+      TcpPeer{"server", "127.0.0.1", server_net.listen_port()});
+  TcpNetwork client_net(client_opts);
+  ASSERT_TRUE(client_net.Start().ok());
+  ASSERT_TRUE(WaitFor([&] { return client_net.PeerUp("server"); }, 3000));
+
+  constexpr int kPerSender = 24;
+  auto payload = [](int sender, int seq) {
+    const size_t size = seq % 4 == 0 ? (2u << 20) : 16;
+    std::string p = std::to_string(sender) + ":" + std::to_string(seq) + ":";
+    p.resize(size, static_cast<char>('a' + (sender * 7 + seq) % 26));
+    return p;
+  };
+  auto send_all = [&](int sender) {
+    for (int seq = 0; seq < kPerSender; seq++) {
+      client_net.Send(MakeMessage("gossip.digest", "client", "server",
+                                  payload(sender, seq)));
+    }
+  };
+  // Sender 0 alone meets the stalled reader: its inline writes stop
+  // part-way. Senders 1 and 2 then race each other for the socket.
+  send_all(0);
+  std::thread other(send_all, 1);
+  send_all(2);
+  other.join();
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        MutexLock lock(&mu);
+        return got.size() == 3 * kPerSender;
+      },
+      20000));
+
+  MutexLock lock(&mu);
+  int next[3] = {0, 0, 0};
+  for (const std::string& p : got) {
+    const int sender = p[0] - '0';
+    ASSERT_TRUE(sender >= 0 && sender <= 2);
+    ASSERT_EQ(p, payload(sender, next[sender])) << "sender " << sender;
+    next[sender]++;
+  }
+  EXPECT_EQ(client_net.stats().messages_dropped, 0u);
+  EXPECT_EQ(client_net.tcp_stats().disconnects, 0u);
+  EXPECT_EQ(server_net.stats().frames_rejected, 0u);
+}
+
+TEST(TcpNetworkTest, InlineHookTakesMessagesOnTheReceivingThread) {
+  TcpNetwork server_net(Pair::Opts("server"));
+  ASSERT_TRUE(server_net.Start().ok());
+  Mutex mu;
+  std::vector<std::string> hooked, handled;
+  std::thread::id hook_thread, handler_thread;
+  std::atomic<bool> hook_busy{false};
+  std::atomic<bool> hook_done{false};
+  ASSERT_TRUE(server_net
+                  .RegisterWithInline(
+                      "server",
+                      [&](const Message& m) {
+                        MutexLock lock(&mu);
+                        handled.push_back(m.payload);
+                        handler_thread = std::this_thread::get_id();
+                      },
+                      [&](Message* m) {
+                        if (m->type != "rpc.request") return false;
+                        bool second;
+                        {
+                          MutexLock lock(&mu);
+                          hooked.push_back(std::move(m->payload));
+                          hook_thread = std::this_thread::get_id();
+                          second = hooked.size() == 2;
+                        }
+                        if (second) {
+                          hook_busy = true;
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(200));
+                          hook_done = true;
+                        }
+                        return true;
+                      })
+                  .ok());
+  TcpNetworkOptions client_opts = Pair::Opts("client");
+  client_opts.peers.push_back(
+      TcpPeer{"server", "127.0.0.1", server_net.listen_port()});
+  TcpNetwork client_net(client_opts);
+  ASSERT_TRUE(client_net.Start().ok());
+  ASSERT_TRUE(WaitFor([&] { return client_net.PeerUp("server"); }, 3000));
+
+  client_net.Send(MakeMessage("rpc.request", "client", "server", "r1"));
+  client_net.Send(MakeMessage("gossip.digest", "client", "server", "g1"));
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        MutexLock lock(&mu);
+        return hooked.size() == 1 && handled.size() == 1;
+      },
+      3000));
+  {
+    MutexLock lock(&mu);
+    EXPECT_EQ(hooked[0], "r1");
+    EXPECT_EQ(handled[0], "g1");
+    EXPECT_NE(hook_thread, handler_thread);
+  }
+  EXPECT_EQ(server_net.stats().messages_delivered, 2u);
+
+  // Unregister does not return while a hook call is still running.
+  client_net.Send(MakeMessage("rpc.request", "client", "server", "r2"));
+  ASSERT_TRUE(WaitFor([&] { return hook_busy.load(); }, 3000));
+  ASSERT_TRUE(server_net.Unregister("server").ok());
+  EXPECT_TRUE(hook_done.load());
 }
 
 TEST(TcpNetworkTest, FaultShimDropsAndDelays) {

@@ -1,6 +1,11 @@
 // Unit tests for src/types: Value, Decimal, Schema, Transaction.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/coding.h"
+#include "common/random.h"
 #include "types/schema.h"
 #include "types/transaction.h"
 #include "types/value.h"
@@ -253,6 +258,88 @@ TEST(TransactionTest, SigningPayloadExcludesTidAndSignature) {
   EXPECT_EQ(a.SigningPayload(), b.SigningPayload());
   // ...but the full hash covers them.
   EXPECT_NE(a.Hash(), b.Hash());
+}
+
+Value RandomValue(Random* rng) {
+  switch (rng->Uniform(7)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Bool(rng->Uniform(2) == 1);
+    case 2:
+      return Value::Int(static_cast<int64_t>(rng->Next()));
+    case 3:
+      return Value::Double(rng->NextDouble() * 1e6);
+    case 4:
+      return Value::Dec(Decimal{static_cast<int64_t>(rng->Uniform(1000000))});
+    case 5:
+      return Value::Str(std::string(rng->Uniform(40), 'a' + rng->Uniform(26)));
+    default:
+      return Value::Ts(static_cast<Timestamp>(rng->Uniform(1u << 30)));
+  }
+}
+
+std::string EncodeValue(const Value& v) {
+  std::string enc;
+  v.EncodeTo(&enc);
+  return enc;
+}
+
+TEST(TransactionTest, DecodeColumnMatchesFullDecode) {
+  Random rng(15);
+  for (int trial = 0; trial < 100; trial++) {
+    std::vector<Value> values;
+    for (uint64_t i = rng.Uniform(6); i > 0; i--) {
+      values.push_back(RandomValue(&rng));
+    }
+    Transaction txn("t" + std::to_string(trial), values);
+    txn.set_tid(rng.Next());
+    txn.set_ts(static_cast<Timestamp>(rng.Uniform(1u << 30)));
+    txn.set_sender("sender-" + std::to_string(rng.Uniform(100)));
+    txn.set_signature(std::string(rng.Uniform(64), 's'));
+
+    // Where each column's encoding ends, built field by field.
+    std::string enc;
+    std::vector<size_t> column_end;
+    PutVarint64(&enc, txn.tid());
+    column_end.push_back(enc.size());
+    PutVarSigned64(&enc, txn.ts());
+    column_end.push_back(enc.size());
+    for (const std::string& field :
+         {txn.signature(), txn.sender(), txn.tname()}) {
+      PutLengthPrefixed(&enc, field);
+      column_end.push_back(enc.size());
+    }
+    PutVarint32(&enc, static_cast<uint32_t>(values.size()));
+    for (const Value& v : values) {
+      v.EncodeTo(&enc);
+      column_end.push_back(enc.size());
+    }
+    std::string full;
+    txn.EncodeTo(&full);
+    ASSERT_EQ(enc, full);
+
+    Transaction decoded;
+    Slice input(full);
+    ASSERT_TRUE(Transaction::DecodeFrom(&input, &decoded).ok());
+    const int columns = static_cast<int>(column_end.size());
+    for (int index = -1; index <= columns; index++) {
+      Value got;
+      ASSERT_TRUE(Transaction::DecodeColumn(full, index, &got).ok());
+      EXPECT_EQ(EncodeValue(got), EncodeValue(decoded.GetColumn(index)))
+          << "trial " << trial << " column " << index;
+      if (index < 0 || index >= columns) continue;
+      // The column's own bytes suffice; one byte fewer is Corruption.
+      const size_t end = column_end[index];
+      ASSERT_TRUE(
+          Transaction::DecodeColumn(Slice(full.data(), end), index, &got).ok());
+      EXPECT_EQ(EncodeValue(got), EncodeValue(decoded.GetColumn(index)));
+      EXPECT_TRUE(
+          Transaction::DecodeColumn(Slice(full.data(), end - 1), index, &got)
+              .IsCorruption())
+          << "trial " << trial << " column " << index;
+    }
+  }
 }
 
 TEST(TransactionTest, HashChangesWithContent) {
