@@ -1,10 +1,13 @@
 // Microbenchmarks (google-benchmark) for the building blocks whose costs
 // drive the figure-level results: SHA-256, CRC-32, Merkle tree construction,
 // B+-tree insert/seek/bulk-load, MB-tree build/prove/verify, bitmap AND,
-// block encode/decode and single-transaction random decode.
+// block encode/decode and single-transaction random decode, and one RPC
+// round trip over loopback TCP.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "auth/mbtree.h"
@@ -13,6 +16,8 @@
 #include "common/random.h"
 #include "common/sha256.h"
 #include "index/bptree.h"
+#include "network/rpc.h"
+#include "network/tcp_network.h"
 #include "storage/block.h"
 #include "storage/merkle_tree.h"
 
@@ -202,6 +207,63 @@ void BM_BlockDecodeOneTransaction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockDecodeOneTransaction);
+
+// One RPC round trip between two loopback TcpNetworks, a thin client and a
+// server with 4 RPC workers that takes requests on its receiving thread as
+// SebdbNode does, answering state.range(0) bytes (280000 is a verified
+// trace's VO): the transport's share of a verified read, without a cluster.
+void BM_RpcLargeReply(benchmark::State& state) {
+  TcpNetworkOptions server_opts;
+  server_opts.local_id = "server";
+  TcpNetwork server_net(server_opts);
+  if (!server_net.Start().ok()) {
+    state.SkipWithError("listen failed");
+    return;
+  }
+  const std::string blob(static_cast<size_t>(state.range(0)), 'v');
+  RpcDispatcher dispatcher;
+  dispatcher.RegisterMethod(
+      "rpc.blob", [&blob](const Slice&, std::string* response) {
+        *response = blob;
+        return Status::OK();
+      });
+  RpcServerOptions rpc_opts;
+  rpc_opts.workers = 4;
+  dispatcher.Start(rpc_opts);
+  Status s = server_net.RegisterWithInline(
+      "server", [](const Message&) {},
+      [&](Message* m) {
+        dispatcher.HandleMessage(&server_net, "server", *m);
+        return true;
+      });
+
+  TcpNetworkOptions client_opts;
+  client_opts.local_id = "client";
+  client_opts.peers.push_back(
+      TcpPeer{"server", "127.0.0.1", server_net.listen_port()});
+  TcpNetwork client_net(client_opts);
+  if (s.ok()) s = client_net.Start();
+  {
+    RpcClient client("client", &client_net);
+    std::string response;
+    for (int i = 0; s.ok() && i < 300 && !client_net.PeerUp("server"); i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    for (auto _ : state) {
+      if (s.ok()) s = client.Call("server", "rpc.blob", "", &response, 5000);
+      if (!s.ok()) {
+        state.SkipWithError(s.ToString().c_str());
+        break;
+      }
+      benchmark::DoNotOptimize(response.data());
+    }
+  }
+  client_net.Shutdown();
+  server_net.Shutdown();
+  dispatcher.Stop();
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RpcLargeReply)->Arg(32)->Arg(280000)->UseRealTime();
 
 }  // namespace
 }  // namespace sebdb

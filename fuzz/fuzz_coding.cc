@@ -3,7 +3,8 @@
 // untrusted-input surface. Successful decodes must re-encode to bytes that
 // decode to the same value (canonical-form check for varints). The same
 // input also drives the hashing kernels differentially: SHA-NI against the
-// portable SHA-256 compressor, slicing-by-8 against bytewise CRC-32.
+// portable SHA-256 compressor, the dispatched CRC-32 (PCLMULQDQ fold or
+// slicing-by-8) against bytewise CRC-32.
 #include <algorithm>
 #include <cstring>
 #include <string>

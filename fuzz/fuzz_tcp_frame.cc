@@ -45,6 +45,9 @@ int FuzzTcpFrame(const uint8_t* data, size_t size) {
           message2.payload != message.payload) {
         __builtin_trap();
       }
+      if (FramePayloadBytes(message) + kFrameHeaderBytes != reencoded.size()) {
+        __builtin_trap();
+      }
       // Senders write the head and the payload separately: together they
       // must be the same frame.
       std::string head;
@@ -62,9 +65,19 @@ int FuzzTcpFrame(const uint8_t* data, size_t size) {
   // the fuzzer can explore payload parsing without solving CRC32 first.
   if (size >= 4) {
     uint32_t crc = DecodeFixed32(raw.data());
-    Slice payload(raw.data() + 4, size - 4);
+    std::string payload(raw.data() + 4, size - 4);
+    const std::string original = payload;
     Message message;
-    (void)DecodeFramePayload(payload, crc, &message);
+    if (DecodeFramePayload(&payload, crc, &message).ok()) {
+      // Accepted ⇒ the body is the tail of the payload it came from.
+      if (original.size() < message.payload.size() ||
+          original.compare(original.size() - message.payload.size(),
+                           std::string::npos, message.payload) != 0) {
+        __builtin_trap();
+      }
+    } else if (payload != original) {
+      __builtin_trap();  // a rejected payload is left as it was
+    }
   }
   return 0;
 }

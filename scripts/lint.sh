@@ -15,10 +15,11 @@
 #        - no *_clock::now() outside common/clock.* — time flows through
 #          NowMicros/SteadyNowMicros so tests and the lint can reason
 #          about it in one place;
-#        - no global ISA flags (-march=, -msha, -msse4) in any CMakeLists.txt
-#          or CMakePresets.json — ISA-specific code enters only through
-#          function-level target attributes behind a CPUID check, so the
-#          binaries still run on CPUs without those extensions.
+#        - no global ISA flags (-march=, -msha, -msse4, -mpclmul, -mavx) in
+#          any CMakeLists.txt or CMakePresets.json — ISA-specific code
+#          enters only through function-level target attributes behind
+#          a CPUID check, so the binaries still run on CPUs without those
+#          extensions.
 #   2. clang-tidy (bugprone-*, concurrency-*, performance-*; see .clang-tidy)
 #      over every translation unit in src/, using the build dir's
 #      compile_commands.json. Skipped with a notice when clang-tidy is not
@@ -113,7 +114,7 @@ if [ -n "${clock_calls}" ]; then
 fi
 
 # Global ISA flags in the build files.
-isa_flags=$(grep -rnE -e '-march=|-msha|-msse4' \
+isa_flags=$(grep -rnE -e '-march=|-msha|-msse4|-mpclmul|-mavx' \
   --include='CMakeLists.txt' --include='CMakePresets.json' \
   --exclude-dir='build*' --exclude-dir='.bench_build' --exclude-dir='.git' . || true)
 if [ -n "${isa_flags}" ]; then

@@ -437,6 +437,7 @@ void SebdbNode::SetupRpcMethods() {
                            req.has_lo ? &req.lo : nullptr,
                            req.has_hi ? &req.hi : nullptr, &out);
         if (!s.ok()) return s;
+        response->reserve(out.ByteSize());  // one allocation, no regrowth
         out.EncodeTo(response);
         return Status::OK();
       });
@@ -469,6 +470,7 @@ void SebdbNode::SetupRpcMethods() {
                            req.has_window ? &req.window_start : nullptr,
                            req.has_window ? &req.window_end : nullptr);
         if (!s.ok()) return s;
+        response->reserve(out.ByteSize());  // one allocation, no regrowth
         out.EncodeTo(response);
         return Status::OK();
       });

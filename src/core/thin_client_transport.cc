@@ -90,6 +90,9 @@ Status TraceRequest::DecodeFrom(Slice* input, TraceRequest* out) {
 
 void EncodeHeaders(const std::vector<BlockHeader>& headers,
                    std::string* dst) {
+  size_t size = VarintLength(headers.size());
+  for (const auto& header : headers) size += header.EncodedSize();
+  dst->reserve(dst->size() + size);
   PutVarint32(dst, static_cast<uint32_t>(headers.size()));
   for (const auto& header : headers) header.EncodeTo(dst);
 }

@@ -26,6 +26,12 @@ bool IsAllowedMessageType(std::string_view type) {
   return false;
 }
 
+size_t FramePayloadBytes(const Message& message) {
+  const auto prefixed = [](size_t n) { return VarintLength(n) + n; };
+  return prefixed(message.type.size()) + prefixed(message.from.size()) +
+         prefixed(message.to.size()) + prefixed(message.payload.size());
+}
+
 void EncodeFrame(const Message& message, std::string* dst) {
   EncodeFrameHead(message, dst);
   dst->append(message.payload);
@@ -77,12 +83,12 @@ Status DecodeFrameHeader(const char* data, size_t max_frame_bytes,
   return Status::OK();
 }
 
-Status DecodeFramePayload(const Slice& payload, uint32_t expected_crc,
+Status DecodeFramePayload(std::string* payload, uint32_t expected_crc,
                           Message* out) {
-  if (Crc32(payload) != expected_crc) {
+  if (Crc32(Slice(*payload)) != expected_crc) {
     return Status::Corruption("tcp frame: payload crc mismatch");
   }
-  Slice input = payload;
+  Slice input(*payload);
   Slice type, from, to, body;
   if (!GetLengthPrefixed(&input, &type) ||
       !GetLengthPrefixed(&input, &from) || !GetLengthPrefixed(&input, &to) ||
@@ -102,7 +108,10 @@ Status DecodeFramePayload(const Slice& payload, uint32_t expected_crc,
   out->type = type.ToString();
   out->from = from.ToString();
   out->to = to.ToString();
-  out->payload = body.ToString();
+  // The body ends the payload: dropping the head in front of it leaves the
+  // body alone in the buffer, which then moves instead of being copied.
+  payload->erase(0, static_cast<size_t>(body.data() - payload->data()));
+  out->payload = std::move(*payload);
   return Status::OK();
 }
 
@@ -116,8 +125,8 @@ Status DecodeFrame(Slice* input, size_t max_frame_bytes, Message* out) {
   if (input->size() < kFrameHeaderBytes + header.payload_len) {
     return Status::Corruption("tcp frame: short payload");
   }
-  Slice payload(input->data() + kFrameHeaderBytes, header.payload_len);
-  s = DecodeFramePayload(payload, header.payload_crc, out);
+  std::string payload(input->data() + kFrameHeaderBytes, header.payload_len);
+  s = DecodeFramePayload(&payload, header.payload_crc, out);
   if (!s.ok()) return s;
   input->remove_prefix(kFrameHeaderBytes + header.payload_len);
   return Status::OK();

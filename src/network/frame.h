@@ -45,6 +45,10 @@ struct FrameHeader {
 /// anything else before it reaches a handler.
 bool IsAllowedMessageType(std::string_view type);
 
+/// The payload_len a frame for `message` carries: the length-prefixed type,
+/// from, to and payload. A transport refuses frames longer than its cap.
+size_t FramePayloadBytes(const Message& message);
+
 /// Appends one complete frame for `message` to `dst`.
 void EncodeFrame(const Message& message, std::string* dst);
 
@@ -61,9 +65,12 @@ void EncodeFrameHead(const Message& message, std::string* dst);
 Status DecodeFrameHeader(const char* data, size_t max_frame_bytes,
                          FrameHeader* out);
 
-/// Validates `payload` against `expected_crc` and parses it into *out:
-/// allowlisted type, non-empty bounded from/to, no trailing bytes.
-Status DecodeFramePayload(const Slice& payload, uint32_t expected_crc,
+/// Validates the frame payload in *payload against `expected_crc` and parses
+/// it into *out: allowlisted type, non-empty bounded from/to, no trailing
+/// bytes. On OK the buffer itself becomes out->payload (the head in front
+/// of the body is erased), so the body is never copied; on failure
+/// *payload is left as it was.
+Status DecodeFramePayload(std::string* payload, uint32_t expected_crc,
                           Message* out);
 
 /// Whole-buffer convenience (fuzz harness, tests): consumes exactly one

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,14 @@ class Network {
   virtual std::vector<std::string> Nodes() const = 0;
 
   virtual NetworkStats stats() const = 0;
+
+  /// Largest frame payload (FramePayloadBytes in network/frame.h) the
+  /// transport sends; it drops a larger message instead. RpcDispatcher
+  /// answers an over-cap reply with an error rather than let it vanish.
+  /// In-process transports carry any size.
+  virtual size_t max_frame_bytes() const {
+    return std::numeric_limits<size_t>::max();
+  }
 
   virtual void Shutdown() = 0;
 

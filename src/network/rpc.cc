@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "common/coding.h"
+#include "network/frame.h"
 
 namespace sebdb {
 
@@ -63,16 +64,33 @@ void RpcDispatcher::Stop() {
 void RpcDispatcher::Reply(Network* network, const std::string& self_id,
                           const std::string& reply_to, uint64_t request_id,
                           const Status& status, const std::string& body) {
-  std::string payload;
+  const auto retry_after =
+      static_cast<uint64_t>(std::max<int64_t>(status.retry_after_millis(), 0));
+  Message reply{RpcDispatcher::kResponseType, self_id, reply_to, ""};
+  std::string& payload = reply.payload;
+  // Built at its final size, so a large body is copied once, never regrown.
+  payload.reserve(8 + 1 + VarintLength(status.message().size()) +
+                  status.message().size() + VarintLength(body.size()) +
+                  body.size() + VarintLength(retry_after));
   PutFixed64(&payload, request_id);
   payload.push_back(static_cast<char>(status.code()));
   PutLengthPrefixed(&payload, status.message());
   PutLengthPrefixed(&payload, body);
-  PutVarint64(&payload,
-              static_cast<uint64_t>(std::max<int64_t>(
-                  status.retry_after_millis(), 0)));
-  network->Send(Message{RpcDispatcher::kResponseType, self_id, reply_to,
-                        std::move(payload)});
+  PutVarint64(&payload, retry_after);
+  const size_t frame_bytes = FramePayloadBytes(reply);
+  if (!body.empty() && frame_bytes > network->max_frame_bytes()) {
+    // The transport would drop it, leaving the caller to wait out its
+    // timeout and a retrying caller to run the method again. The error
+    // carries no body, so this recurses at most once.
+    Reply(network, self_id, reply_to, request_id,
+          Status::InvalidArgument(
+              "rpc reply of " + std::to_string(frame_bytes) +
+              " bytes exceeds the frame cap of " +
+              std::to_string(network->max_frame_bytes()) + " bytes"),
+          "");
+    return;
+  }
+  network->Send(std::move(reply));
 }
 
 void RpcDispatcher::Execute(Network* network, const std::string& self_id,

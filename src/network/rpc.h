@@ -157,6 +157,9 @@ class RpcDispatcher {
   void Execute(Network* network, const std::string& self_id,
                const std::string& reply_to, uint64_t request_id,
                const std::string& method, const Slice& body);
+  /// Sends the response. One whose frame exceeds the transport's
+  /// max_frame_bytes() goes out instead as InvalidArgument (not retryable)
+  /// naming both sizes.
   static void Reply(Network* network, const std::string& self_id,
                     const std::string& reply_to, uint64_t request_id,
                     const Status& status, const std::string& body);

@@ -499,9 +499,8 @@ TcpNetwork::CloseReason TcpNetwork::DrainLink(Link* link, int fd) {
 
 bool TcpNetwork::EncodeHeadWithinCap(const Message& message,
                                      std::string* head) {
-  EncodeFrameHead(message, head);
-  if (head->size() + message.payload.size() <=
-      kFrameHeaderBytes + options_.max_frame_bytes) {
+  if (FramePayloadBytes(message) <= options_.max_frame_bytes) {
+    EncodeFrameHead(message, head);
     return true;
   }
   // Our own message exceeds what the peer will accept; sending it would
@@ -574,8 +573,8 @@ void TcpNetwork::ReaderLoop(Link* link, int fd) {
         !ReadFully(fd, payload.data(), payload.size())) {
       return;
     }
-    Message message;
-    s = DecodeFramePayload(Slice(payload), frame_header.payload_crc, &message);
+    Message message;  // takes over the payload buffer: no body copy
+    s = DecodeFramePayload(&payload, frame_header.payload_crc, &message);
     if (!s.ok()) {
       MutexLock lock(&stats_mu_);
       stats_.frames_rejected++;
@@ -584,7 +583,8 @@ void TcpNetwork::ReaderLoop(Link* link, int fd) {
     link->last_recv_millis.store(SteadyNowMillis(), std::memory_order_release);
     {
       MutexLock lock(&stats_mu_);
-      tcp_stats_.bytes_received += kFrameHeaderBytes + payload.size();
+      tcp_stats_.bytes_received +=
+          kFrameHeaderBytes + frame_header.payload_len;
     }
     HandleIncoming(link, std::move(message));
   }

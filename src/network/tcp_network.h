@@ -135,6 +135,7 @@ class TcpNetwork : public Network {
                  const std::string& payload) override;
   std::vector<std::string> Nodes() const override;
   NetworkStats stats() const override;
+  size_t max_frame_bytes() const override { return options_.max_frame_bytes; }
   void Shutdown() override;
   uint64_t AddPeerWatcher(PeerWatcher watcher) override;
   void RemovePeerWatcher(uint64_t token) override;
@@ -219,8 +220,8 @@ class TcpNetwork : public Network {
   /// Writes `first` then `second`. False on error or deadline; *timed_out
   /// distinguishes the two.
   bool WriteFully(int fd, Slice first, Slice second, bool* timed_out);
-  /// EncodeFrameHead, or false (counted as an oversize drop) when the frame
-  /// would exceed max_frame_bytes.
+  /// EncodeFrameHead, or false (counted as an oversize drop, nothing
+  /// encoded) when the frame would exceed max_frame_bytes.
   bool EncodeHeadWithinCap(const Message& message, std::string* head);
   /// True, with link->write_mu held and *fd set, when this thread may write
   /// to the link's socket itself: the link is up, its writer is not

@@ -31,6 +31,13 @@ void BlockHeader::EncodeTo(std::string* dst) const {
   PutVarint64(dst, first_tid);
 }
 
+size_t BlockHeader::EncodedSize() const {
+  return 3 * 32 + VarintLength(height) +
+         VarintLength(ZigZagEncode(timestamp)) +
+         VarintLength(signature.size()) + signature.size() +
+         VarintLength(num_transactions) + VarintLength(first_tid);
+}
+
 namespace {
 
 bool GetHash256(Slice* input, Hash256* out) {

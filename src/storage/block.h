@@ -35,6 +35,8 @@ struct BlockHeader {
   Hash256 ComputeHash() const;
 
   void EncodeTo(std::string* dst) const;
+  /// Exactly the number of bytes EncodeTo appends.
+  size_t EncodedSize() const;
   static Status DecodeFrom(Slice* input, BlockHeader* out);
 
   bool operator==(const BlockHeader&) const = default;

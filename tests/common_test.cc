@@ -301,17 +301,30 @@ TEST(Crc32Test, Incremental) {
 }
 
 TEST(Crc32Test, SlicingMatchesBytewiseAtEveryLengthAndAlignment) {
+  // Lengths through 1024 cover the PCLMULQDQ fold's 64-byte threshold, its
+  // 16-byte and sub-16 tails, and many 64-byte steps; a random starting CRC
+  // checks the running-register hand-off into the fold.
   Random rng(32);
-  const std::string data = RandomBytes(&rng, 64 + 8);
-  for (size_t align = 0; align < 8; align++) {
-    for (size_t len = 0; len <= 64; len++) {
-      ASSERT_EQ(Crc32(0, data.data() + align, len),
-                BytewiseCrc32(0, data, align, len))
+  const std::string data = RandomBytes(&rng, 1024 + 16);
+  for (size_t align = 0; align < 16; align++) {
+    for (size_t len = 0; len <= 1024; len++) {
+      const auto init = static_cast<uint32_t>(rng.Next());
+      const uint32_t want = BytewiseCrc32(init, data, align, len);
+      ASSERT_EQ(Crc32(init, data.data() + align, len), want)
+          << "align " << align << " len " << len;
+      ASSERT_EQ(detail::Crc32Portable(init, data.data() + align, len), want)
           << "align " << align << " len " << len;
     }
   }
   const std::string big = RandomBytes(&rng, 1 << 20);
-  EXPECT_EQ(Crc32(Slice(big)), BytewiseCrc32(0, big, 0, big.size()));
+  const uint32_t whole = BytewiseCrc32(0, big, 0, big.size());
+  EXPECT_EQ(Crc32(Slice(big)), whole);
+  for (int trial = 0; trial < 20; trial++) {
+    const size_t split = rng.Uniform(big.size() + 1);
+    const uint32_t head = Crc32(0, big.data(), split);
+    ASSERT_EQ(Crc32(head, big.data() + split, big.size() - split), whole)
+        << "split " << split;
+  }
 }
 
 TEST(Crc32Test, IncrementalAcrossSplitPointsMatchesOneShot) {

@@ -137,6 +137,27 @@ TEST(BlockTest, DecodeHeaderOnly) {
   EXPECT_EQ(header, block.header());
 }
 
+TEST(BlockTest, HeaderEncodedSizeIsExact) {
+  // Varint boundaries in every variable-width field.
+  for (uint64_t height : {0ull, 127ull, 128ull, 1ull << 35}) {
+    for (int64_t ts : {int64_t{0}, int64_t{-65}, int64_t{64},
+                       int64_t{1} << 50}) {
+      for (size_t sig : {size_t{0}, size_t{127}, size_t{128}, size_t{300}}) {
+        BlockHeader header;
+        header.height = height;
+        header.timestamp = ts;
+        header.signature.assign(sig, 's');
+        header.num_transactions = static_cast<uint32_t>(height);
+        header.first_tid = height * 3;
+        std::string buf;
+        header.EncodeTo(&buf);
+        ASSERT_EQ(header.EncodedSize(), buf.size())
+            << height << " " << ts << " " << sig;
+      }
+    }
+  }
+}
+
 TEST(BlockStoreTest, AppendAndReadBack) {
   ScratchDir dir("store_basic");
   BlockStore store;

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/coding.h"
 #include "network/frame.h"
 #include "network/rpc.h"
 #include "network/tcp_network.h"
@@ -399,6 +400,113 @@ TEST(TcpNetworkTest, RpcOverTcpLoopback) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(response, "ping-pong");
   dispatcher.Stop();
+}
+
+/// A server TcpNetwork whose RpcDispatcher answers "rpc.blob" with
+/// `reply_bytes` patterned bytes, and a client TcpNetwork linked to it. The
+/// heartbeat is slowed so every byte the client receives is an RPC reply.
+struct BlobRpc {
+  explicit BlobRpc(size_t reply_bytes, size_t server_max_frame_bytes =
+                                           kDefaultMaxFrameBytes)
+      : server_net(Opts("server", server_max_frame_bytes)),
+        client_net(ClientOpts()) {
+    blob.resize(reply_bytes);
+    for (size_t i = 0; i < reply_bytes; i++) {
+      blob[i] = static_cast<char>((i * 131) >> 3);
+    }
+    dispatcher.RegisterMethod(
+        "rpc.blob", [this](const Slice&, std::string* response) {
+          calls++;
+          *response = blob;
+          return Status::OK();
+        });
+    RpcServerOptions rpc_opts;
+    rpc_opts.workers = 2;
+    dispatcher.Start(rpc_opts);
+    EXPECT_TRUE(server_net
+                    .Register("server",
+                              [this](const Message& m) {
+                                dispatcher.HandleMessage(&server_net,
+                                                         "server", m);
+                              })
+                    .ok());
+    EXPECT_TRUE(client_net.Start().ok());
+    client = std::make_unique<RpcClient>("client", &client_net);
+    EXPECT_TRUE(WaitFor([&] { return client_net.PeerUp("server"); }, 3000));
+  }
+  ~BlobRpc() {
+    client.reset();
+    server_net.Shutdown();
+    dispatcher.Stop();
+  }
+
+  /// Frame payload bytes of the server's OK reply carrying `body` bytes:
+  /// [request_id u64][code u8][empty message lp][body lp][retry_after 0].
+  static size_t ReplyFrameBytes(size_t body) {
+    const size_t payload = 8 + 1 + 1 + VarintLength(body) + body + 1;
+    return FramePayloadBytes(Message{RpcDispatcher::kResponseType, "server",
+                                     "client", std::string(payload, 'x')});
+  }
+
+  static TcpNetworkOptions Opts(const std::string& id,
+                                size_t max_frame_bytes) {
+    TcpNetworkOptions o = Pair::Opts(id);
+    o.heartbeat_interval_millis = 10000;
+    o.peer_down_after_millis = 30000;
+    o.max_frame_bytes = max_frame_bytes;
+    return o;
+  }
+  TcpNetworkOptions ClientOpts() {
+    EXPECT_TRUE(server_net.Start().ok());
+    TcpNetworkOptions o = Opts("client", kDefaultMaxFrameBytes);
+    o.peers.push_back(TcpPeer{"server", "127.0.0.1", server_net.listen_port()});
+    return o;
+  }
+
+  std::string blob;
+  std::atomic<int> calls{0};
+  TcpNetwork server_net;
+  TcpNetwork client_net;
+  RpcDispatcher dispatcher;
+  std::unique_ptr<RpcClient> client;
+};
+
+// A prove-sized reply arrives byte for byte, and the receiver's byte count
+// is the whole frame even though the body now moves out of the frame
+// buffer instead of being copied.
+TEST(TcpNetworkTest, LargeRpcReplyArrivesWholeAndCountsTheFullFrame) {
+  constexpr size_t kReply = 280000;
+  BlobRpc rpc(kReply);
+  const uint64_t before = rpc.client_net.tcp_stats().bytes_received;
+  std::string response;
+  Status s = rpc.client->Call("server", "rpc.blob", "", &response,
+                              /*timeout_millis=*/5000);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(response == rpc.blob);
+  EXPECT_EQ(rpc.client_net.tcp_stats().bytes_received - before,
+            kFrameHeaderBytes + BlobRpc::ReplyFrameBytes(kReply));
+}
+
+// A reply over the server's frame cap used to be dropped at send, so the
+// caller waited out its whole timeout and a retrying caller ran the method
+// again. Now the caller hears at once why, and does not retry.
+TEST(TcpNetworkTest, OverCapRpcReplyFailsFastNamingTheCap) {
+  BlobRpc rpc(/*reply_bytes=*/100 << 10, /*server_max_frame_bytes=*/64 << 10);
+  RetryPolicy policy = RetryPolicy::WithAttempts(3);
+  policy.attempt_timeout_millis = 5000;
+  const int64_t start = SteadyNowMillis();
+  std::string response;
+  Status s = rpc.client->Call("server", "rpc.blob", "", &response, policy);
+  const int64_t elapsed = SteadyNowMillis() - start;
+  ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("frame cap of 65536 bytes"), std::string::npos)
+      << s.message();
+  const std::string size = std::to_string(BlobRpc::ReplyFrameBytes(100 << 10));
+  EXPECT_NE(s.message().find("reply of " + size + " bytes"), std::string::npos)
+      << s.message();
+  EXPECT_LT(elapsed, 2000);
+  EXPECT_EQ(rpc.calls.load(), 1);
+  EXPECT_EQ(rpc.server_net.tcp_stats().oversize_send_drops, 0u);
 }
 
 // A sender writes its frame itself only while nothing is queued ahead of
