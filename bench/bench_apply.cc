@@ -1,10 +1,13 @@
 // Block-apply cost benchmark (DESIGN.md §13): times IndexSet::ApplyBlock —
 // the one path every block takes into the indexes — on BChainBench donate
 // blocks at pool sizes {none, 1, 2, 4}. The set holds the system SenID/Tname
-// layered indexes and ALIs plus a continuous (amount) and a discrete
-// (project) user layered index, each with its ALI, so every transaction is
+// layered indexes plus a continuous (amount) and a discrete (project) user
+// layered index, each with an ALI over it, so every transaction is
 // extracted for four targets and encoded + SHA-256 hashed once for the
-// ALIs. No simulated work: the figure is real extract + merge cost, with
+// ALIs. The merge runs one task per layered index plus one per ALI, which
+// only computes the block's MB-tree root from those shared hashes (an ALI
+// keeps no layered index of its own). No simulated work: the figure is
+// real extract + merge cost, with
 // block building and storage left out (blocks are built once in memory).
 // Each configuration runs `kTrials` fresh index sets; the median is
 // reported. Writes a JSON summary to $SEBDB_BENCH_JSON (default

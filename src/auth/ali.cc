@@ -1,6 +1,7 @@
 #include "auth/ali.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/coding.h"
 
@@ -71,57 +72,40 @@ std::vector<MbTree::Entry> ExtractEntries(const Block& block,
 }  // namespace
 
 AuthenticatedLayeredIndex::AuthenticatedLayeredIndex(
-    std::string name, LayeredIndexOptions options, ColumnExtractor extractor,
-    MbTree::Options mb_options)
-    : layered_(std::move(name), options, extractor),
-      extractor_(std::move(extractor)),
-      mb_options_(mb_options) {
+    const LayeredIndex* index, MbTree::Options mb_options)
+    : index_(index), mb_options_(mb_options) {
   // Built up front, never lazily: Tree() is const and runs concurrently
   // from query workers.
-  if (options.materialized_cache_bytes > 0) {
-    rebuilt_ = std::make_unique<LruCache<uint64_t, const MbTree>>(
-        options.materialized_cache_bytes);
+  const uint64_t budget = index_->options().materialized_cache_bytes;
+  if (budget > 0) {
+    rebuilt_ = std::make_unique<LruCache<uint64_t, const MbTree>>(budget);
   }
-}
-
-Status AuthenticatedLayeredIndex::SetHistogram(EqualDepthHistogram histogram) {
-  return layered_.SetHistogram(std::move(histogram));
 }
 
 Status AuthenticatedLayeredIndex::AddBlock(const Block& block) {
-  // Extraction + MergeTxnDeltas, like LayeredIndex::AddBlock: one extractor
-  // pass feeds both the layered entries and the record hashes, and the
-  // merge half is shared with the parallel apply pipeline.
-  std::vector<std::pair<Value, uint32_t>> layered_entries;
-  std::vector<Hash256> record_hashes;
-  const auto& txns = block.transactions();
-  for (uint32_t i = 0; i < txns.size(); i++) {
-    Value key;
-    if (!extractor_(txns[i], &key)) continue;
-    std::string record;
-    txns[i].EncodeTo(&record);
-    record_hashes.push_back(Sha256::Digest(record));
-    layered_entries.emplace_back(std::move(key), i);
+  std::vector<MbTree::Entry> entries =
+      ExtractEntries(block, index_->extractor());
+  std::vector<std::pair<const Value*, Hash256>> leaves;
+  leaves.reserve(entries.size());
+  for (const auto& e : entries) {
+    leaves.emplace_back(&e.key, Sha256::Digest(e.record));
   }
-  return MergeTxnDeltas(block.height(), std::move(layered_entries),
-                        std::move(record_hashes));
+  return MergeTxnDeltas(block.height(), std::move(leaves));
 }
 
 Status AuthenticatedLayeredIndex::MergeTxnDeltas(
-    uint64_t height, std::vector<std::pair<Value, uint32_t>> layered_entries,
-    std::vector<Hash256> record_hashes) {
+    uint64_t height, std::vector<std::pair<const Value*, Hash256>> leaves) {
+  if (height != roots_.size()) {
+    return Status::InvalidArgument("ALI blocks must arrive in order");
+  }
   // MB-tree order: stable by key, so equal keys keep block order.
-  std::vector<uint32_t> order(layered_entries.size());
-  for (uint32_t i = 0; i < order.size(); i++) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return layered_entries[a].first.CompareTotal(layered_entries[b].first) < 0;
-  });
+  std::stable_sort(leaves.begin(), leaves.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first->CompareTotal(*b.first) < 0;
+                   });
   std::vector<Hash256> sorted_hashes;
-  sorted_hashes.reserve(order.size());
-  for (uint32_t i : order) sorted_hashes.push_back(record_hashes[i]);
-
-  Status s = layered_.MergeTxnDeltas(height, std::move(layered_entries));
-  if (!s.ok()) return s;
+  sorted_hashes.reserve(leaves.size());
+  for (const auto& leaf : leaves) sorted_hashes.push_back(leaf.second);
   roots_.push_back(sorted_hashes.empty()
                        ? Hash256{}
                        : MbTree::ComputeRoot(sorted_hashes, mb_options_));
@@ -132,21 +116,15 @@ Bitmap AuthenticatedLayeredIndex::BlocksToVisit(const Value* lo,
                                                 const Value* hi,
                                                 const Bitmap* window,
                                                 uint64_t height_limit) const {
-  Bitmap candidates = layered_.CandidateBlocks(lo, hi);
+  Bitmap candidates = index_->CandidateBlocks(lo, hi);
   if (window != nullptr) candidates.And(*window);
-  // Pin the snapshot: ignore blocks at or above the height limit.
-  for (size_t bid = height_limit; bid < candidates.size(); bid++) {
+  // Pin the snapshot: ignore blocks at or above the height limit, and any
+  // block the plain index holds whose root is not recorded yet.
+  const uint64_t limit = std::min<uint64_t>(height_limit, roots_.size());
+  for (size_t bid = limit; bid < candidates.size(); bid++) {
     if (candidates.Test(bid)) candidates.Clear(bid);
   }
   return candidates;
-}
-
-Status AuthenticatedLayeredIndex::BlockRoot(BlockId bid, Hash256* out) const {
-  if (bid >= roots_.size()) {
-    return Status::NotFound("block not indexed");
-  }
-  *out = roots_[bid];
-  return Status::OK();
 }
 
 Status AuthenticatedLayeredIndex::Tree(
@@ -173,7 +151,8 @@ Status AuthenticatedLayeredIndex::RebuildTree(
   std::shared_ptr<const Block> block;
   Status s = loader_(bid, &block);
   if (!s.ok()) return s;
-  std::vector<MbTree::Entry> entries = ExtractEntries(*block, extractor_);
+  std::vector<MbTree::Entry> entries =
+      ExtractEntries(*block, index_->extractor());
   uint64_t charge = 64;
   for (const auto& e : entries) charge += e.key.ByteSize() + e.record.size();
   std::shared_ptr<const MbTree> tree =
@@ -198,6 +177,9 @@ Status AuthenticatedLayeredIndex::ProveRange(const Value* lo, const Value* hi,
                                              const Bitmap* window,
                                              uint64_t chain_height,
                                              AuthQueryResponse* out) const {
+  if (chain_height > num_blocks()) {
+    return Status::InvalidArgument("pinned height beyond indexed blocks");
+  }
   out->chain_height = chain_height;
   out->proofs.clear();
   Bitmap candidates = BlocksToVisit(lo, hi, window, chain_height);
@@ -220,6 +202,9 @@ Status AuthenticatedLayeredIndex::ComputeDigest(const Value* lo,
                                                 const Bitmap* window,
                                                 uint64_t chain_height,
                                                 Hash256* digest) const {
+  if (chain_height > num_blocks()) {
+    return Status::InvalidArgument("pinned height beyond indexed blocks");
+  }
   Bitmap candidates = BlocksToVisit(lo, hi, window, chain_height);
   Sha256 ctx;
   for (size_t bid : candidates.SetBits()) {
@@ -273,37 +258,23 @@ Status AuthenticatedLayeredIndex::VerifyResponse(
   return Status::OK();
 }
 
-void AuthenticatedLayeredIndex::EncodeCheckpointState(
-    const std::vector<LayeredIndex::FrozenTreeRef>& pending,
-    std::string* dst) const {
-  std::string layered_state;
-  layered_.EncodeCheckpointState(pending, &layered_state);
-  PutLengthPrefixed(dst, layered_state);
+void AuthenticatedLayeredIndex::EncodeCheckpointState(std::string* dst) const {
   PutVarint64(dst, roots_.size());
   for (const Hash256& root : roots_) {
     dst->append(reinterpret_cast<const char*>(root.bytes.data()), 32);
   }
 }
 
-Status AuthenticatedLayeredIndex::RestoreCheckpoint(
-    BufferManager* pool, std::vector<BufferManager::FileId> files,
-    Slice state) {
-  Slice in = state;
-  Slice layered_state;
-  if (!GetLengthPrefixed(&in, &layered_state)) {
-    return Status::Corruption("truncated ALI checkpoint state");
-  }
-  Status s = layered_.RestoreCheckpoint(pool, std::move(files), layered_state);
-  if (!s.ok()) return s;
+Status AuthenticatedLayeredIndex::RestoreCheckpoint(Slice state) {
   uint64_t nroots;
-  if (!GetVarint64(&in, &nroots) || nroots != layered_.num_blocks() ||
-      in.size() < nroots * 32) {
+  if (!GetVarint64(&state, &nroots) || nroots != index_->num_blocks() ||
+      state.size() < nroots * 32) {
     return Status::Corruption("truncated ALI root list");
   }
   roots_.resize(nroots);
   for (uint64_t i = 0; i < nroots; i++) {
-    std::memcpy(roots_[i].bytes.data(), in.data(), 32);
-    in.remove_prefix(32);
+    std::memcpy(roots_[i].bytes.data(), state.data(), 32);
+    state.remove_prefix(32);
   }
   return Status::OK();
 }

@@ -10,14 +10,17 @@
 // digest, and accepts when enough auxiliary digests match (credibility
 // Eqs. 4–6).
 //
-// Memory: MB-trees are deterministic functions of their block's
-// transactions, so the index keeps only each block's root hash (32 bytes).
-// Apply computes the root from the record hashes without building a tree;
-// a query's Tree() rebuilds the block's MB-tree on demand from the raw block
-// (via the installed BlockLoader), verifies it against the recorded root,
-// and LRU-caches it. Checkpoints therefore carry only the root list.
-// Digests (phase 2) need only the stored roots, so auxiliary nodes answer
-// without touching raw blocks at all.
+// An ALI shares its first level with the plain LayeredIndex it is built
+// over: candidate blocks come from that index, which the ALI reads but never
+// updates or checkpoints. What the ALI owns is one MB-tree root per block
+// (32 bytes; the zero hash marks a block with no entries). MB-trees are
+// deterministic functions of their block's transactions, so apply computes
+// the root from the record hashes without building a tree, and a query's
+// Tree() rebuilds the block's MB-tree on demand from the raw block (via the
+// installed BlockLoader), verifies it against the recorded root, and
+// LRU-caches it. Checkpoints carry only the root list. Digests (phase 2)
+// need only the stored roots, so auxiliary nodes answer without touching raw
+// blocks at all.
 #pragma once
 
 #include <cstdint>
@@ -62,45 +65,37 @@ class AuthenticatedLayeredIndex {
   using BlockLoader =
       std::function<Status(BlockId, std::shared_ptr<const Block>*)>;
 
-  AuthenticatedLayeredIndex(std::string name, LayeredIndexOptions options,
-                            ColumnExtractor extractor,
-                            MbTree::Options mb_options = MbTree::Options());
-
-  const std::string& name() const { return layered_.name(); }
-
-  /// Continuous indexes need the histogram before the first block.
-  Status SetHistogram(EqualDepthHistogram histogram);
+  /// `index` is the plain layered index over the same attribute; it must
+  /// outlive the ALI. The ALI takes its extractor and its rebuilt-tree cache
+  /// budget (LayeredIndexOptions::materialized_cache_bytes) from it.
+  explicit AuthenticatedLayeredIndex(
+      const LayeredIndex* index, MbTree::Options mb_options = MbTree::Options());
 
   /// Required before any block's tree can be built (Tree, ProveRange).
   void SetBlockLoader(BlockLoader loader) { loader_ = std::move(loader); }
 
-  /// Indexes a newly chained block: updates the first level and records
-  /// the root of the block's MB-tree over (attribute value, encoded
-  /// transaction).
+  /// Records the root of a newly chained block's MB-tree over (attribute
+  /// value, encoded transaction): extraction + MergeTxnDeltas. Blocks must
+  /// arrive in order.
   Status AddBlock(const Block& block);
 
-  /// Merge step of the parallel apply pipeline: ingests one block from
-  /// deltas the extract phase prepared — `layered_entries` as
-  /// LayeredIndex::MergeTxnDeltas (block position order), and
-  /// `record_hashes[i]` the SHA-256 of the encoded transaction behind
-  /// `layered_entries[i]`. Stable-sorts by key and records the MB-tree root
-  /// (MbTree::ComputeRoot) — the same root AddBlock and a rebuild produce.
+  /// Merge step of the parallel apply pipeline: records block `height`'s
+  /// MB-tree root from one (attribute value, SHA-256 of the encoded
+  /// transaction) leaf per indexed transaction, in block position order.
+  /// Stable-sorts by key and hashes the tree (MbTree::ComputeRoot) — the
+  /// same root AddBlock and a rebuild produce.
   Status MergeTxnDeltas(uint64_t height,
-                        std::vector<std::pair<Value, uint32_t>> layered_entries,
-                        std::vector<Hash256> record_hashes);
+                        std::vector<std::pair<const Value*, Hash256>> leaves);
 
-  uint64_t num_blocks() const { return layered_.num_blocks(); }
-  const LayeredIndex& layered() const { return layered_; }
+  /// Blocks with a recorded root. The plain index may already be ahead
+  /// while a block's merge is in flight; queries never look past this.
+  uint64_t num_blocks() const { return roots_.size(); }
 
   /// Blocks a range query over [lo, hi] must visit, intersected with an
-  /// optional time-window bitmap, limited to heights < height_limit.
+  /// optional time-window bitmap, limited to heights < height_limit and to
+  /// blocks with a recorded root.
   Bitmap BlocksToVisit(const Value* lo, const Value* hi, const Bitmap* window,
                        uint64_t height_limit) const;
-
-  /// Root of one block's MB-tree (zero hash if the block holds no entries —
-  /// such blocks are never candidates). Served from the stored root list;
-  /// never rebuilds.
-  Status BlockRoot(BlockId bid, Hash256* out) const;
 
   /// One block's MB-tree (*out == nullptr when the block holds no indexed
   /// entries). Served from the LRU cache or rebuilt from the raw block and
@@ -115,11 +110,13 @@ class AuthenticatedLayeredIndex {
   }
 
   /// Phase 1 (full node): executes the range query and assembles the VO set.
+  /// InvalidArgument when chain_height > num_blocks().
   Status ProveRange(const Value* lo, const Value* hi, const Bitmap* window,
                     uint64_t chain_height, AuthQueryResponse* out) const;
 
   /// Phase 2 (auxiliary node): digest over the roots of the blocks the query
   /// visits at the pinned height: SHA256(root_1 || root_2 || ...).
+  /// InvalidArgument when chain_height > num_blocks().
   Status ComputeDigest(const Value* lo, const Value* hi, const Bitmap* window,
                        uint64_t chain_height, Hash256* digest) const;
 
@@ -133,39 +130,24 @@ class AuthenticatedLayeredIndex {
                                size_t required_matching,
                                std::vector<std::string>* records);
 
-  // --- checkpoint protocol (driven by IndexSet; single-threaded) ---
-  // The inner layered index checkpoints exactly like a plain one; the ALI
-  // layer adds only the root list to the meta state.
+  // --- checkpoint state (driven by IndexSet; single-threaded) ---
 
-  Status WriteFrozenDelta(BufferManager* pool, BufferManager::FileId file,
-                          uint64_t up_to,
-                          std::vector<LayeredIndex::FrozenTreeRef>* refs) {
-    return layered_.WriteFrozenDelta(pool, file, up_to, refs);
-  }
+  /// The root list: varint count, then 32 bytes per block.
+  void EncodeCheckpointState(std::string* dst) const;
 
-  void AdoptFrozen(BufferManager* pool, BufferManager::FileId file,
-                   const std::vector<LayeredIndex::FrozenTreeRef>& refs) {
-    layered_.AdoptFrozen(pool, file, refs);
-  }
-
-  void EncodeCheckpointState(
-      const std::vector<LayeredIndex::FrozenTreeRef>& pending,
-      std::string* dst) const;
-
-  Status RestoreCheckpoint(BufferManager* pool,
-                           std::vector<BufferManager::FileId> files,
-                           Slice state);
+  /// Restores the root list EncodeCheckpointState wrote. Call after the
+  /// plain index is restored: the list must cover exactly its blocks.
+  Status RestoreCheckpoint(Slice state);
 
  private:
   Status RebuildTree(BlockId bid, std::shared_ptr<const MbTree>* out) const;
 
-  LayeredIndex layered_;
-  ColumnExtractor extractor_;
+  const LayeredIndex* index_;
   MbTree::Options mb_options_;
   BlockLoader loader_;
 
-  /// MB-tree root of every indexed block (zero hash = no entries). The
-  /// authenticated part of the checkpoint state.
+  /// MB-tree root of every indexed block (zero hash = no entries); the
+  /// ALI's whole checkpoint state.
   std::vector<Hash256> roots_;
 
   /// Rebuilt MB-trees, charged by encoded record bytes (internally

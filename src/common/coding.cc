@@ -130,4 +130,33 @@ bool GetLengthPrefixed(Slice* input, Slice* result) {
   return true;
 }
 
+std::string HexEncode(const Slice& bytes) {
+  static const char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (size_t i = 0; i < bytes.size(); i++) {
+    const auto b = static_cast<uint8_t>(bytes[i]);
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xf]);
+  }
+  return out;
+}
+
+bool HexDecode(std::string_view hex, std::string* out) {
+  auto nibble = [](char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  if (hex.size() % 2 != 0) return false;
+  out->clear();
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    const int hi = nibble(hex[i]), lo = nibble(hex[i + 1]);
+    if (hi < 0 || lo < 0) return false;
+    out->push_back(static_cast<char>((hi << 4) | lo));
+  }
+  return true;
+}
+
 }  // namespace sebdb

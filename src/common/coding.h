@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/slice.h"
 
@@ -56,5 +57,10 @@ uint32_t DecodeFixed32(const char* ptr);
 uint64_t DecodeFixed64(const char* ptr);
 void EncodeFixed32(char* dst, uint32_t value);
 void EncodeFixed64(char* dst, uint64_t value);
+
+/// Lowercase hex of `bytes`, and its inverse (either case accepted; false on
+/// an odd length or a non-hex digit).
+std::string HexEncode(const Slice& bytes);
+bool HexDecode(std::string_view hex, std::string* out);
 
 }  // namespace sebdb

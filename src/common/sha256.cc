@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/coding.h"
+
 #if defined(__x86_64__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -26,13 +28,6 @@ constexpr uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-
-inline int HexVal(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 
 #if defined(__x86_64__)
 
@@ -100,24 +95,13 @@ __attribute__((target("sha,sse4.1,ssse3"))) void ShaNiCompress(
 }  // namespace
 
 std::string Hash256::ToHex() const {
-  static const char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(64);
-  for (uint8_t b : bytes) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
-  }
-  return out;
+  return HexEncode(Slice(reinterpret_cast<const char*>(bytes.data()), 32));
 }
 
 bool Hash256::FromHex(std::string_view hex, Hash256* out) {
-  if (hex.size() != 64) return false;
-  for (size_t i = 0; i < 32; i++) {
-    int hi = HexVal(hex[2 * i]);
-    int lo = HexVal(hex[2 * i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    out->bytes[i] = static_cast<uint8_t>((hi << 4) | lo);
-  }
+  std::string raw;
+  if (hex.size() != 64 || !HexDecode(hex, &raw)) return false;
+  std::memcpy(out->bytes.data(), raw.data(), 32);
   return true;
 }
 

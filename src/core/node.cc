@@ -747,9 +747,6 @@ Status SebdbNode::AuthDigestRange(const std::string& table,
     return Status::NotFound("no authenticated index on " + table + "." +
                             column);
   }
-  if (height > ali->num_blocks()) {
-    return Status::InvalidArgument("pinned height beyond local chain");
-  }
   return ali->ComputeDigest(lo, hi, /*window=*/nullptr, height, digest);
 }
 
@@ -760,9 +757,6 @@ Status SebdbNode::AuthProveTrace(bool by_sender, const std::string& key,
   AuthenticatedLayeredIndex* ali = by_sender
                                        ? chain_.indexes()->senid_ali()
                                        : chain_.indexes()->tname_ali();
-  if (ali == nullptr) {
-    return Status::NotFound("authenticated system indices disabled");
-  }
   Value v = Value::Str(key);
   std::optional<Bitmap> window;
   if (window_start != nullptr && window_end != nullptr) {
@@ -780,12 +774,6 @@ Status SebdbNode::AuthDigestTrace(bool by_sender, const std::string& key,
   AuthenticatedLayeredIndex* ali = by_sender
                                        ? chain_.indexes()->senid_ali()
                                        : chain_.indexes()->tname_ali();
-  if (ali == nullptr) {
-    return Status::NotFound("authenticated system indices disabled");
-  }
-  if (height > ali->num_blocks()) {
-    return Status::InvalidArgument("pinned height beyond local chain");
-  }
   Value v = Value::Str(key);
   std::optional<Bitmap> window;
   if (window_start != nullptr && window_end != nullptr) {

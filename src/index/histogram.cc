@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/coding.h"
+
 namespace sebdb {
 
 Status EqualDepthHistogram::Build(std::vector<Value> sample,
@@ -32,6 +34,25 @@ Status EqualDepthHistogram::Build(std::vector<Value> sample,
     out->boundaries_.push_back(sample[0]);
   }
   return Status::OK();
+}
+
+void EqualDepthHistogram::EncodeTo(std::string* dst) const {
+  PutVarint32(dst, static_cast<uint32_t>(boundaries_.size()));
+  for (const Value& b : boundaries_) b.EncodeTo(dst);
+}
+
+bool EqualDepthHistogram::DecodeFrom(Slice* in, EqualDepthHistogram* out) {
+  uint32_t nbounds;
+  if (!GetVarint32(in, &nbounds) || nbounds > in->size()) return false;
+  std::vector<Value> bounds;
+  bounds.reserve(nbounds);
+  for (uint32_t i = 0; i < nbounds; i++) {
+    Value v;
+    if (!Value::DecodeFrom(in, &v)) return false;
+    bounds.push_back(std::move(v));
+  }
+  *out = FromBoundaries(std::move(bounds));
+  return true;
 }
 
 size_t EqualDepthHistogram::BucketOf(const Value& v) const {

@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bitmap.h"
+#include "common/slice.h"
 #include "common/status.h"
 #include "types/value.h"
 
@@ -36,6 +38,12 @@ class EqualDepthHistogram {
     out.boundaries_ = std::move(boundaries);
     return out;
   }
+
+  /// Boundary encoding shared by index checkpoints and the index manifest:
+  /// varint count, then each boundary (a histogram not built encodes as a
+  /// zero count). DecodeFrom returns false on truncated input.
+  void EncodeTo(std::string* dst) const;
+  static bool DecodeFrom(Slice* in, EqualDepthHistogram* out);
 
   /// Number of buckets (boundaries + 1). Zero means not built.
   size_t num_buckets() const {

@@ -256,8 +256,7 @@ void LayeredIndex::EncodeFirstLevel(std::string* dst) const {
       blocks.EncodeTo(dst);
     }
   } else {
-    PutVarint32(dst, static_cast<uint32_t>(histogram_.boundaries().size()));
-    for (const Value& b : histogram_.boundaries()) b.EncodeTo(dst);
+    histogram_.EncodeTo(dst);
     PutVarint64(dst, block_buckets_.size());
     for (const Bitmap& b : block_buckets_) b.EncodeTo(dst);
   }
@@ -285,20 +284,9 @@ Status LayeredIndex::DecodeFirstLevel(Slice* in) {
       value_blocks_[std::move(v)] = std::move(blocks);
     }
   } else {
-    uint32_t nbounds;
-    if (!GetVarint32(in, &nbounds)) {
+    if (!EqualDepthHistogram::DecodeFrom(in, &histogram_)) {
       return Status::Corruption("truncated histogram");
     }
-    std::vector<Value> bounds;
-    bounds.reserve(nbounds);
-    for (uint32_t i = 0; i < nbounds; i++) {
-      Value v;
-      if (!Value::DecodeFrom(in, &v)) {
-        return Status::Corruption("truncated histogram boundary");
-      }
-      bounds.push_back(std::move(v));
-    }
-    histogram_ = EqualDepthHistogram::FromBoundaries(std::move(bounds));
     uint64_t nbuckets;
     if (!GetVarint64(in, &nbuckets) || nbuckets > in->size()) {
       return Status::Corruption("truncated bucket bitmaps");

@@ -44,17 +44,11 @@ IndexSet::IndexSet(BlockStore* store, IndexSetOptions options)
       "sys.senid", discrete_options, MakeSystemExtractor(/*sender=*/true));
   tname_index_ = std::make_unique<LayeredIndex>(
       "sys.tname", discrete_options, MakeSystemExtractor(/*sender=*/false));
-  if (options_.build_auth_indexes) {
-    senid_ali_ = std::make_unique<AuthenticatedLayeredIndex>(
-        "sys.senid.auth", discrete_options,
-        MakeSystemExtractor(/*sender=*/true));
-    tname_ali_ = std::make_unique<AuthenticatedLayeredIndex>(
-        "sys.tname.auth", discrete_options,
-        MakeSystemExtractor(/*sender=*/false));
-    if (auto loader = MakeBlockLoader()) {
-      senid_ali_->SetBlockLoader(loader);
-      tname_ali_->SetBlockLoader(loader);
-    }
+  senid_ali_ = std::make_unique<AuthenticatedLayeredIndex>(senid_index_.get());
+  tname_ali_ = std::make_unique<AuthenticatedLayeredIndex>(tname_index_.get());
+  if (auto loader = MakeBlockLoader()) {
+    senid_ali_->SetBlockLoader(loader);
+    tname_ali_->SetBlockLoader(loader);
   }
   if (!options_.manifest_path.empty()) LoadManifest();
 }
@@ -69,28 +63,45 @@ void IndexSet::LoadManifest() {
   std::string contents;
   if (!file->Read(0, size, &contents).ok()) return;
   std::istringstream stream(contents);
-  std::string table, column;
-  int schema_index, discrete;
+  std::string line;
   MutexLock lock(&mu_);
-  while (stream >> table >> column >> schema_index >> discrete) {
+  while (std::getline(stream, line)) {
+    // "table column schema_index discrete histogram_hex"; records written
+    // before the histogram field existed have only the first four.
+    std::istringstream fields(line);
+    std::string table, column, hex;
+    int schema_index, discrete;
+    if (!(fields >> table >> column >> schema_index >> discrete)) break;
+    EqualDepthHistogram histogram;
+    const bool recorded = static_cast<bool>(fields >> hex);
+    if (recorded) {
+      std::string encoded;
+      if (!HexDecode(hex, &encoded)) break;
+      Slice in(encoded);
+      if (!EqualDepthHistogram::DecodeFrom(&in, &histogram)) break;
+    }
     // Created before any block is replayed, so no backfill is needed; the
     // replay loop feeds every block through ApplyBlock.
-    CreateLayeredIndexLocked(table, column, schema_index, discrete != 0)
+    CreateLayeredIndexLocked(table, column, schema_index, discrete != 0,
+                             recorded ? &histogram : nullptr)
         .ok();
   }
 }
 
 Status IndexSet::AppendManifest(const std::string& table,
                                 const std::string& column,
-                                int schema_column_index, bool discrete) {
+                                const UserIndex& index) {
   if (options_.manifest_path.empty()) return Status::OK();
   std::unique_ptr<WritableFile> file;
   Status s = env()->NewWritableFile(options_.manifest_path, &file);
   if (!s.ok()) return s;
   const uint64_t old_size = file->size();
+  std::string histogram;
+  index.layered->histogram().EncodeTo(&histogram);
   std::string line = table + " " + column + " " +
-                     std::to_string(schema_column_index) + " " +
-                     (discrete ? "1" : "0") + "\n";
+                     std::to_string(index.schema_column_index) + " " +
+                     (index.discrete ? "1" : "0") + " " +
+                     HexEncode(histogram) + "\n";
   s = file->Append(line);
   if (s.ok()) s = file->Sync();
   Status closed = file->Close();
@@ -110,13 +121,12 @@ Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
   }
   const auto& txns = block.transactions();
 
-  // Layered/ALI targets, pointer-stable for the whole apply (mu_ serializes
-  // against CreateLayeredIndex; accessors hand out raw pointers, so the
-  // pointees never move). An ALI shares its plain twin's extractor, so one
-  // extraction per pair feeds both.
+  // Layered indexes and their ALIs, pointer-stable for the whole apply (mu_
+  // serializes against CreateLayeredIndex; accessors hand out raw pointers,
+  // so the pointees never move).
   struct Target {
     LayeredIndex* layered = nullptr;
-    AuthenticatedLayeredIndex* ali = nullptr;
+    AuthenticatedLayeredIndex* ali = nullptr;  // over `layered`
   };
   std::vector<Target> targets;
   targets.push_back({senid_index_.get(), senid_ali_.get()});
@@ -142,13 +152,13 @@ Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
   auto extract_one = [&](uint64_t i) {
     TxnDelta& d = deltas[i];
     d.values.resize(num_targets);
-    bool covered_by_ali = false;
+    bool indexed = false;
     for (size_t t = 0; t < num_targets; t++) {
       d.values[t].present =
           targets[t].layered->extractor()(txns[i], &d.values[t].value);
-      covered_by_ali |= d.values[t].present && targets[t].ali != nullptr;
+      indexed |= d.values[t].present;
     }
-    if (covered_by_ali) {
+    if (indexed) {
       // The encoded record is dropped once hashed: apply keeps MB-tree roots
       // only, and a query rebuilds the tree from the stored block.
       std::string record;
@@ -166,7 +176,8 @@ Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
   // (MergeTxnDeltas — the same code the per-structure AddBlock runs after
   // its gather), so the committed state is identical for any pool size.
   // Structures are independent, so they fan out in parallel; order across
-  // structures does not affect any structure's bytes.
+  // structures does not affect any structure's bytes. An ALI task reads the
+  // extracted values in place and computes only the block's MB-tree root.
   const uint64_t height = block.height();
   std::vector<std::function<Status()>> merges;
   merges.push_back([&]() -> Status {
@@ -186,20 +197,15 @@ Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
       }
       return targets[t].layered->MergeTxnDeltas(height, std::move(entries));
     });
-    if (targets[t].ali != nullptr) {
-      merges.push_back([&, t]() -> Status {
-        std::vector<std::pair<Value, uint32_t>> entries;
-        std::vector<Hash256> record_hashes;
-        for (uint32_t i = 0; i < txns.size(); i++) {
-          const TxnDelta& d = deltas[i];
-          if (!d.values[t].present) continue;
-          entries.emplace_back(d.values[t].value, i);
-          record_hashes.push_back(d.record_hash);
+    merges.push_back([&, t]() -> Status {
+      std::vector<std::pair<const Value*, Hash256>> leaves;
+      for (const TxnDelta& d : deltas) {
+        if (d.values[t].present) {
+          leaves.emplace_back(&d.values[t].value, d.record_hash);
         }
-        return targets[t].ali->MergeTxnDeltas(height, std::move(entries),
-                                              std::move(record_hashes));
-      });
-    }
+      }
+      return targets[t].ali->MergeTxnDeltas(height, std::move(leaves));
+    });
   }
   Status s = ParallelForStatus(pool, merges.size(),
                                [&](uint64_t m) { return merges[m](); });
@@ -217,20 +223,22 @@ Status IndexSet::CreateLayeredIndex(const std::string& table,
                                     const std::string& column,
                                     int schema_column_index, bool discrete) {
   MutexLock lock(&mu_);
-  Status s =
-      CreateLayeredIndexLocked(table, column, schema_column_index, discrete);
+  Status s = CreateLayeredIndexLocked(table, column, schema_column_index,
+                                      discrete, /*recorded=*/nullptr);
   if (!s.ok()) return s;
-  s = AppendManifest(table, column, schema_column_index, discrete);
+  const auto key = std::make_pair(table, column);
+  s = AppendManifest(table, column, user_indexes_.at(key));
   // Without its manifest record the index would vanish on the next restart
   // that finds no checkpoint; report the failure instead of registering it.
-  if (!s.ok()) user_indexes_.erase(std::make_pair(table, column));
+  if (!s.ok()) user_indexes_.erase(key);
   return s;
 }
 
 Status IndexSet::CreateLayeredIndexLocked(const std::string& table,
                                           const std::string& column,
                                           int schema_column_index,
-                                          bool discrete) {
+                                          bool discrete,
+                                          const EqualDepthHistogram* recorded) {
   auto key = std::make_pair(table, column);
   if (user_indexes_.contains(key)) {
     return Status::InvalidArgument("index already exists on " + table + "." +
@@ -247,24 +255,26 @@ Status IndexSet::CreateLayeredIndexLocked(const std::string& table,
   LayeredIndexOptions layered_options;
   layered_options.discrete = discrete;
   layered_options.histogram_buckets = options_.histogram_buckets;
-  ColumnExtractor extractor = MakeColumnExtractor(table, schema_column_index);
-  std::string name = table + "." + column;
-  index.layered = std::make_unique<LayeredIndex>(name, layered_options,
-                                                 extractor);
-  if (options_.build_auth_indexes) {
-    index.ali = std::make_unique<AuthenticatedLayeredIndex>(
-        name + ".auth", layered_options, extractor);
-    if (auto loader = MakeBlockLoader()) index.ali->SetBlockLoader(loader);
+  index.layered = std::make_unique<LayeredIndex>(
+      table + "." + column, layered_options,
+      MakeColumnExtractor(table, schema_column_index));
+  index.ali = std::make_unique<AuthenticatedLayeredIndex>(index.layered.get());
+  if (auto loader = MakeBlockLoader()) index.ali->SetBlockLoader(loader);
+  if (recorded != nullptr) {
+    index.sample_on_backfill = false;
+    if (recorded->num_buckets() > 0) {
+      Status s = index.layered->SetHistogram(*recorded);
+      if (!s.ok()) return s;
+    }
   }
 
-  Status backfill = BackfillIndex(&index, !discrete, extractor);
+  Status backfill = BackfillIndex(&index);
   if (!backfill.ok()) return backfill;
   user_indexes_[key] = std::move(index);
   return Status::OK();
 }
 
-Status IndexSet::BackfillIndex(UserIndex* index, bool continuous,
-                               const ColumnExtractor& extractor) {
+Status IndexSet::BackfillIndex(UserIndex* index) {
   if (num_blocks_ == 0) return Status::OK();
   if (store_ == nullptr) {
     return Status::InvalidArgument(
@@ -272,7 +282,8 @@ Status IndexSet::BackfillIndex(UserIndex* index, bool continuous,
   }
 
   // Pass 1 (continuous only): sample historical values for the histogram.
-  if (continuous) {
+  const ColumnExtractor& extractor = index->layered->extractor();
+  if (!index->discrete && index->sample_on_backfill) {
     std::vector<Value> sample;
     for (uint64_t bid = 0;
          bid < num_blocks_ && sample.size() < options_.histogram_sample_limit;
@@ -290,12 +301,8 @@ Status IndexSet::BackfillIndex(UserIndex* index, bool continuous,
       Status s = EqualDepthHistogram::Build(
           std::move(sample), options_.histogram_buckets, &histogram);
       if (!s.ok()) return s;
-      s = index->layered->SetHistogram(histogram);
+      s = index->layered->SetHistogram(std::move(histogram));
       if (!s.ok()) return s;
-      if (index->ali != nullptr) {
-        s = index->ali->SetHistogram(std::move(histogram));
-        if (!s.ok()) return s;
-      }
     }
   }
 
@@ -305,11 +312,8 @@ Status IndexSet::BackfillIndex(UserIndex* index, bool continuous,
     Status s = store_->ReadBlock(bid, &block);
     if (!s.ok()) return s;
     s = index->layered->AddBlock(*block);
+    if (s.ok()) s = index->ali->AddBlock(*block);
     if (!s.ok()) return s;
-    if (index->ali != nullptr) {
-      s = index->ali->AddBlock(*block);
-      if (!s.ok()) return s;
-    }
   }
   return Status::OK();
 }
@@ -404,8 +408,6 @@ Status IndexSet::WriteCheckpoint(BufferManager* pool, const std::string& dir,
     return Status::OK();
   };
 
-  // The ALI twins freeze byte-identical trees (same extractor, same
-  // blocks), so each delta file is written once and shared.
   Status s = write_layered(Delta::kSenid, "", "", "senid", senid_index_.get());
   if (!s.ok()) return s;
   s = write_layered(Delta::kTname, "", "", "tname", tname_index_.get());
@@ -431,7 +433,7 @@ Status IndexSet::WriteCheckpoint(BufferManager* pool, const std::string& dir,
   static const std::vector<LayeredIndex::FrozenTreeRef> kNoRefs;
 
   meta->clear();
-  PutVarint32(meta, 1);  // version
+  PutVarint32(meta, 2);  // version
   std::string blob;
   table_index_.EncodeTo(&blob);
   PutLengthPrefixed(meta, blob);
@@ -464,12 +466,9 @@ Status IndexSet::WriteCheckpoint(BufferManager* pool, const std::string& dir,
     blob.clear();
     layered->EncodeCheckpointState(refs, &blob);
     PutLengthPrefixed(meta, blob);
-    meta->push_back(ali != nullptr ? 1 : 0);
-    if (ali != nullptr) {
-      blob.clear();
-      ali->EncodeCheckpointState(refs, &blob);
-      PutLengthPrefixed(meta, blob);
-    }
+    blob.clear();
+    ali->EncodeCheckpointState(&blob);
+    PutLengthPrefixed(meta, blob);
   };
   put_layered(Delta::kSenid, "", "", senid_files_, senid_index_.get(),
               senid_ali_.get());
@@ -499,25 +498,16 @@ void IndexSet::AdoptCheckpoint(BufferManager* pool,
         break;
       case Delta::kSenid:
         senid_index_->AdoptFrozen(pool, d.file, d.refs);
-        if (senid_ali_ != nullptr) {
-          senid_ali_->AdoptFrozen(pool, d.file, d.refs);
-        }
         senid_files_.push_back(d.name);
         break;
       case Delta::kTname:
         tname_index_->AdoptFrozen(pool, d.file, d.refs);
-        if (tname_ali_ != nullptr) {
-          tname_ali_->AdoptFrozen(pool, d.file, d.refs);
-        }
         tname_files_.push_back(d.name);
         break;
       case Delta::kUser: {
         auto it = user_indexes_.find(std::make_pair(d.table, d.column));
         if (it == user_indexes_.end()) break;  // dropped mid-checkpoint
         it->second.layered->AdoptFrozen(pool, d.file, d.refs);
-        if (it->second.ali != nullptr) {
-          it->second.ali->AdoptFrozen(pool, d.file, d.refs);
-        }
         it->second.delta_files.push_back(d.name);
         break;
       }
@@ -561,8 +551,9 @@ Status IndexSet::RestoreCheckpoint(BufferManager* pool,
     return Status::InvalidArgument("restore requires a fresh index set");
   }
   Slice in = meta;
+  // Version 1 (still read) differs only in each layered index's ALI slot.
   uint32_t version;
-  if (!GetVarint32(&in, &version) || version != 1) {
+  if (!GetVarint32(&in, &version) || (version != 1 && version != 2)) {
     return Status::Corruption("unknown index checkpoint version");
   }
   Slice blob;
@@ -595,25 +586,23 @@ Status IndexSet::RestoreCheckpoint(BufferManager* pool,
     }
     rs = layered->RestoreCheckpoint(pool, ids, state);
     if (!rs.ok()) return rs;
-    if (in.empty()) return Status::Corruption("truncated ALI presence flag");
-    const bool has_ali = in.data()[0] != 0;
-    in.remove_prefix(1);
-    if (has_ali) {
-      Slice ali_state;
-      if (!GetLengthPrefixed(&in, &ali_state)) {
+    Slice roots;
+    if (version == 1) {
+      // An ALI-presence byte, then the ALI slot: a second copy of the
+      // layered state (skipped) ahead of the root list.
+      Slice copy;
+      if (in.empty() || in[0] == 0) {
+        return Status::Corruption("checkpoint lacks ALI state");
+      }
+      in.remove_prefix(1);
+      if (!GetLengthPrefixed(&in, &roots) ||
+          !GetLengthPrefixed(&roots, &copy)) {
         return Status::Corruption("truncated ALI state");
       }
-      if (ali != nullptr) {
-        rs = ali->RestoreCheckpoint(pool, ids, ali_state);
-        if (!rs.ok()) return rs;
-      }
-    } else if (ali != nullptr) {
-      // Auth indices were off when the checkpoint was written; a full
-      // replay is the only way to rebuild the MB-tree roots.
-      return Status::InvalidArgument(
-          "checkpoint lacks authenticated index state");
+    } else if (!GetLengthPrefixed(&in, &roots)) {
+      return Status::Corruption("truncated ALI root list");
     }
-    return Status::OK();
+    return ali->RestoreCheckpoint(roots);
   };
 
   s = restore_layered(&senid_files_, senid_index_.get(), senid_ali_.get());
@@ -640,7 +629,8 @@ Status IndexSet::RestoreCheckpoint(BufferManager* pool,
       // Not re-created from the manifest (e.g. the manifest was lost); the
       // checkpoint carries the full definition.
       s = CreateLayeredIndexLocked(key.first, key.second,
-                                   static_cast<int>(schema_index), discrete);
+                                   static_cast<int>(schema_index), discrete,
+                                   /*recorded=*/nullptr);
       if (!s.ok()) return s;
       it = user_indexes_.find(key);
     }
@@ -662,9 +652,7 @@ Status IndexSet::RestoreCheckpoint(BufferManager* pool,
     if (index.layered->num_blocks() != 0) {
       return Status::Corruption("user index height mismatch");
     }
-    s = BackfillIndex(&index, !index.discrete,
-                      MakeColumnExtractor(key.first,
-                                          index.schema_column_index));
+    s = BackfillIndex(&index);
     if (!s.ok()) return s;
   }
   return Status::OK();

@@ -1,16 +1,17 @@
 // All indices of one node, updated together as blocks are chained
 // (paper §IV-B): the block-level B+-tree, the table-level bitmap index, the
 // two system-wide discrete layered indices on SenID and Tname that power
-// TRACE, any user-created per-column layered indices, and (optionally) their
-// authenticated twins (ALI) for thin-client queries.
+// TRACE, any user-created per-column layered indices, and one authenticated
+// layered index (ALI, paper §VI) over each of those layered indices for
+// thin-client queries. An ALI reads its layered index's first level for
+// candidate blocks and adds only a per-block MB-tree root.
 //
 // The IndexSet is also the checkpoint unit: WriteCheckpoint streams every
 // index's new-blocks delta into fresh page files and encodes one meta blob;
 // after the manifest publishes, AdoptCheckpoint commits the deltas (dropping
 // the frozen blocks' in-memory trees); RestoreCheckpoint rebuilds a fresh
-// IndexSet from a published checkpoint's files + meta. An ALI shares its
-// plain twin's delta file: both layered indices freeze byte-identical trees
-// (same extractor, same blocks), so one copy on disk serves both.
+// IndexSet from a published checkpoint's files + meta. The meta holds each
+// layered index's first level once, followed by its ALI's root list.
 #pragma once
 
 #include <map>
@@ -38,11 +39,10 @@ struct IndexSetOptions {
   size_t histogram_buckets = 100;
   /// Sample cap when backfilling a histogram from existing blocks.
   size_t histogram_sample_limit = 100000;
-  /// Also maintain MB-tree-based authenticated indices alongside every
-  /// layered index (and the system Tname/SenID indices).
-  bool build_auth_indexes = true;
   /// When set, user-created indices are recorded here and recreated on the
   /// next open (before chain replay), so CREATE INDEX survives restarts.
+  /// A record carries the histogram sampled at creation, so a re-created
+  /// continuous index draws the same candidate bitmaps and ALI digests.
   std::string manifest_path;
   /// File system for the manifest. nullptr means Env::Default(); tests plug
   /// a FaultInjectionEnv.
@@ -77,16 +77,17 @@ class IndexSet {
   /// tuples and read no state, so the whole block is one parallel pass:
   ///
   /// Extract: one ParallelFor over the transactions computes each one's
-  /// value for every layered/ALI target and, when an ALI covers it, the
+  /// value for every layered index and, when any index covers it, the
   /// SHA-256 of its encoded record (the MB-tree leaf), shared by every ALI.
   /// The record itself is not kept: ALIs store MB-tree roots only.
   /// Each transaction writes only its own slot.
   ///
   /// Merge: every structure ingests the slots in block order
-  /// (MergeTxnDeltas); independent structures fan out across the pool. The
-  /// merge is deterministic, so bitmaps, trees, MB roots and histograms are
-  /// byte-identical for any pool size — a nullptr pool runs the same code
-  /// serially.
+  /// (MergeTxnDeltas) — one task per layered index, and one per ALI that
+  /// computes only its root; independent structures fan out across the
+  /// pool. The merge is deterministic, so bitmaps, trees, MB roots and
+  /// histograms are byte-identical for any pool size — a nullptr pool runs
+  /// the same code serially.
   Status ApplyBlock(const Block& block, ThreadPool* pool) EXCLUDES(mu_);
 
   uint64_t num_blocks() const;
@@ -124,7 +125,7 @@ class IndexSet {
   /// checkpoint into fresh page files named "<prefix>_<tag>" under `dir`
   /// (through `pool`, flushed and synced), appends them to *files, and
   /// encodes the full index-set meta state (frozen refs + first levels +
-  /// cursors + per-index file lists) into *meta. No index state changes. On
+  /// ALI root lists + cursors + per-index file lists) into *meta. No index state changes. On
   /// failure the files staged so far stay recorded in *pending — call
   /// AbortCheckpoint.
   Status WriteCheckpoint(BufferManager* pool, const std::string& dir,
@@ -133,8 +134,8 @@ class IndexSet {
                          PendingIndexCheckpoint* pending) EXCLUDES(mu_);
 
   /// Phase 2, after the manifest published: registers the delta files and
-  /// drops the now-frozen blocks' in-memory trees (layered tails and MB
-  /// trees; the block index keeps its cheap in-memory tail).
+  /// drops the now-frozen blocks' in-memory layered trees (the block index
+  /// keeps its cheap in-memory tail).
   void AdoptCheckpoint(BufferManager* pool,
                        const PendingIndexCheckpoint& pending) EXCLUDES(mu_);
 
@@ -157,9 +158,13 @@ class IndexSet {
  private:
   struct UserIndex {
     std::unique_ptr<LayeredIndex> layered;
-    std::unique_ptr<AuthenticatedLayeredIndex> ali;  // null unless enabled
+    std::unique_ptr<AuthenticatedLayeredIndex> ali;  // over `layered`
     int schema_column_index = 0;
     bool discrete = false;
+    /// Continuous only: a backfill samples its histogram from the blocks it
+    /// covers. False once the creation-time histogram is known (from the
+    /// manifest record), so every re-create reproduces it.
+    bool sample_on_backfill = true;
     std::vector<std::string> delta_files;  // checkpoint order
   };
 
@@ -168,15 +173,18 @@ class IndexSet {
     return options_.env != nullptr ? options_.env : Env::Default();
   }
   AuthenticatedLayeredIndex::BlockLoader MakeBlockLoader() const;
-  Status BackfillIndex(UserIndex* index, bool continuous,
-                       const ColumnExtractor& extractor) REQUIRES(mu_);
+  Status BackfillIndex(UserIndex* index) REQUIRES(mu_);
+  /// `recorded` is the manifest's creation-time histogram (empty when the
+  /// index had none yet), or nullptr when a backfill is to sample one
+  /// (CREATE INDEX, manifest records written before histograms were).
   Status CreateLayeredIndexLocked(const std::string& table,
                                   const std::string& column,
-                                  int schema_column_index, bool discrete)
+                                  int schema_column_index, bool discrete,
+                                  const EqualDepthHistogram* recorded)
       REQUIRES(mu_);
   void LoadManifest() EXCLUDES(mu_);
   Status AppendManifest(const std::string& table, const std::string& column,
-                        int schema_column_index, bool discrete) REQUIRES(mu_);
+                        const UserIndex& index) REQUIRES(mu_);
   Status OpenDeltaFiles(BufferManager* pool, const std::string& dir,
                         Slice* in, std::vector<std::string>* names,
                         std::vector<BufferManager::FileId>* ids);

@@ -333,9 +333,9 @@ class AliTest : public ::testing::Test {
   // Block b holds amounts b*100 .. b*100+49.
   void Init(int num_blocks, LayeredIndexOptions options) {
     options.histogram_buckets = 8;
-    ali_ = std::make_unique<AuthenticatedLayeredIndex>("donate.amount.auth",
-                                                       options,
-                                                       AmountExtractor());
+    layered_ = std::make_unique<LayeredIndex>("donate.amount", options,
+                                              AmountExtractor());
+    ali_ = std::make_unique<AuthenticatedLayeredIndex>(layered_.get());
     ali_->SetBlockLoader(
         [this](BlockId bid, std::shared_ptr<const Block>* out) -> Status {
           loads_++;
@@ -352,12 +352,14 @@ class AliTest : public ::testing::Test {
       }
       blocks_.push_back(
           std::make_shared<const Block>(MakeBlockOf(b, std::move(txns))));
+      ASSERT_TRUE(layered_->AddBlock(*blocks_.back()).ok());
       ASSERT_TRUE(ali_->AddBlock(*blocks_.back()).ok());
     }
   }
 
   std::vector<std::shared_ptr<const Block>> blocks_;
   int loads_ = 0;
+  std::unique_ptr<LayeredIndex> layered_;
   std::unique_ptr<AuthenticatedLayeredIndex> ali_;
 };
 
@@ -458,6 +460,50 @@ TEST_F(AliTest, SnapshotPinnedAtLowerHeight) {
                   response, &lo, &hi, TxnAmountKeyFn, {digest}, 1, &records)
                   .ok());
   EXPECT_EQ(records.size(), 250u);
+}
+
+// The plain index can run a block ahead of the root list while that block's
+// ALI merge is still in flight. Queries stay within the recorded roots, and
+// a pinned height past them is refused rather than read out of bounds.
+TEST_F(AliTest, PlainIndexAheadOfRootList) {
+  Value lo = Value::Int(0), hi = Value::Int(100000);
+  Hash256 before;
+  ASSERT_TRUE(ali_->ComputeDigest(&lo, &hi, nullptr, 10, &before).ok());
+
+  std::vector<Transaction> txns;
+  for (int i = 0; i < 50; i++) {
+    txns.push_back(MakeTxn("donate", "org1", 1000 + i, {Value::Int(1000 + i)}));
+  }
+  blocks_.push_back(
+      std::make_shared<const Block>(MakeBlockOf(10, std::move(txns))));
+  ASSERT_TRUE(layered_->AddBlock(*blocks_.back()).ok());
+  ASSERT_EQ(layered_->num_blocks(), 11u);
+  ASSERT_EQ(ali_->num_blocks(), 10u);
+
+  const Bitmap visit = ali_->BlocksToVisit(&lo, &hi, nullptr, 11);
+  EXPECT_EQ(visit.SetBits().size(), 10u);
+  EXPECT_FALSE(visit.Test(10));
+  AuthQueryResponse response;
+  EXPECT_TRUE(ali_->ProveRange(&lo, &hi, nullptr, 11, &response)
+                  .IsInvalidArgument());
+  Hash256 digest;
+  EXPECT_TRUE(ali_->ComputeDigest(&lo, &hi, nullptr, 11, &digest)
+                  .IsInvalidArgument());
+  ASSERT_TRUE(ali_->ComputeDigest(&lo, &hi, nullptr, 10, &digest).ok());
+  EXPECT_EQ(digest, before);
+  ASSERT_TRUE(ali_->ProveRange(&lo, &hi, nullptr, 10, &response).ok());
+  EXPECT_EQ(response.proofs.size(), 10u);
+
+  // Once its root is recorded, the block joins the query.
+  ASSERT_TRUE(ali_->AddBlock(*blocks_.back()).ok());
+  ASSERT_TRUE(ali_->ComputeDigest(&lo, &hi, nullptr, 11, &digest).ok());
+  EXPECT_NE(digest, before);
+  ASSERT_TRUE(ali_->ProveRange(&lo, &hi, nullptr, 11, &response).ok());
+  std::vector<std::string> records;
+  ASSERT_TRUE(AuthenticatedLayeredIndex::VerifyResponse(
+                  response, &lo, &hi, TxnAmountKeyFn, {digest}, 1, &records)
+                  .ok());
+  EXPECT_EQ(records.size(), 550u);
 }
 
 TEST(AuthQueryResponseTest, ByteSizeMatchesEncoding) {

@@ -26,18 +26,16 @@ using testing_util::ScratchDir;
 struct Workload {
   // One entry per consensus batch: the transactions of that block.
   std::vector<std::vector<Transaction>> batches;
-  // The user index is created before the first batch: its equal-depth
-  // histogram then bootstraps from the first entry-carrying block, which is
-  // deterministic across every recovery path (a mid-chain CREATE INDEX
-  // samples history at creation time, which a manifest-driven re-create
-  // after full replay cannot reproduce — checkpoints do, via the serialized
-  // histogram, but this test also compares against rebuild-from-scratch).
-  uint64_t create_index_after = 0;  // batches chained before CREATE INDEX
+  // Batches chained before CREATE INDEX. At 0 the equal-depth histogram
+  // bootstraps from the first entry-carrying block; mid-chain it is sampled
+  // from history at creation, and every recovery path must reproduce it.
+  uint64_t create_index_after = 0;
 };
 
-Workload MakeWorkload(uint64_t seed) {
+Workload MakeWorkload(uint64_t seed, uint64_t create_index_after = 0) {
   std::mt19937_64 rng(seed);
   Workload w;
+  w.create_index_after = create_index_after;
   const uint64_t nblocks = 20 + rng() % 25;
   Timestamp ts = 1000;
   for (uint64_t b = 0; b < nblocks; b++) {
@@ -192,9 +190,14 @@ ChainOptions EquivChainOptions(uint64_t interval, uint64_t pool_bytes,
 }
 
 TEST(CheckpointEquivalenceTest, AllRecoveryPathsAnswerIdentically) {
-  for (uint64_t seed : {1u, 7u, 23u}) {
+  // {seed, batches chained before CREATE INDEX}: the mid-chain cases create
+  // the index before and after the last checkpoint (interval 7), so a
+  // restore either finds it checkpointed or backfills it.
+  const std::pair<uint64_t, uint64_t> cases[] = {
+      {1, 0}, {7, 0}, {23, 0}, {31, 9}, {53, 37}};
+  for (const auto& [seed, create_index_after] : cases) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const Workload w = MakeWorkload(seed);
+    const Workload w = MakeWorkload(seed, create_index_after);
 
     // Baseline: never checkpointed, fully in-memory, still open.
     ScratchDir mem_dir("equiv_mem_" + std::to_string(seed));
