@@ -1,11 +1,15 @@
 // Microbenchmarks (google-benchmark) for the building blocks whose costs
 // drive the figure-level results: SHA-256, CRC-32, Merkle tree construction,
 // B+-tree insert/seek/bulk-load, MB-tree build/prove/verify, bitmap AND,
-// block encode/decode and single-transaction random decode, and one RPC
-// round trip over loopback TCP.
+// block encode/decode and single-transaction random decode, one RPC round
+// trip over loopback TCP, and cache hits (LRU cache, buffer pool) at 1 and 4
+// threads.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,12 +17,15 @@
 #include "auth/mbtree.h"
 #include "common/bitmap.h"
 #include "common/crc32.h"
+#include "common/env.h"
+#include "common/lru_cache.h"
 #include "common/random.h"
 #include "common/sha256.h"
 #include "index/bptree.h"
 #include "network/rpc.h"
 #include "network/tcp_network.h"
 #include "storage/block.h"
+#include "storage/buffer_manager.h"
 #include "storage/merkle_tree.h"
 
 namespace sebdb {
@@ -152,6 +159,66 @@ void BM_BitmapAnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapAnd)->Arg(2500)->Arg(100000);
+
+// Transaction-cache keys: (height << 20) | index, 64 txns per block.
+uint64_t TxnCacheKey(uint64_t i) { return ((i / 64) << 20) | (i % 64); }
+
+// Every lookup hits a 64 MiB cache (the block cache's default size). With
+// threads, readers contend only where their keys share a lock.
+void BM_LruCacheLookupHit(benchmark::State& state) {
+  constexpr uint64_t kKeys = 4096;
+  struct Filled {
+    LruCache<uint64_t, const std::string> cache{64ull << 20};
+    Filled() {
+      for (uint64_t i = 0; i < kKeys; i++) {
+        cache.Insert(TxnCacheKey(i),
+                     std::make_shared<const std::string>(1024, 'v'), 1024);
+      }
+    }
+  };
+  static Filled filled;
+  Random rng(state.thread_index() + 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        filled.cache.Lookup(TxnCacheKey(rng.Uniform(kKeys))));
+  }
+}
+BENCHMARK(BM_LruCacheLookupHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// Every pin hits a resident page of a 64 MiB pool over a 1024-page file.
+void BM_BufferPoolPinHit(benchmark::State& state) {
+  constexpr PageId kPages = 1024;
+  struct Pool {
+    std::string path = "/tmp/sebdb_bench_micro_pool_" +
+                       std::to_string(::getpid());
+    BufferManager pool{BufferPoolOptions{}};
+    BufferManager::FileId file = 0;
+    Pool() {
+      PageId pid;
+      if (!pool.CreateFile(path, &file).ok()) std::abort();
+      for (PageId p = 0; p < kPages; p++) {
+        if (!pool.AppendPage(file, PageType::kBlob, std::string(3000, 'p'),
+                             &pid)
+                 .ok()) {
+          std::abort();
+        }
+      }
+      if (!pool.Flush(file).ok()) std::abort();
+    }
+    ~Pool() { Env::Default()->RemoveFile(path).ok(); }
+  };
+  static Pool pool;
+  Random rng(state.thread_index() + 1);
+  for (auto _ : state) {
+    BufferManager::PageRef ref;
+    if (!pool.pool.Pin(pool.file, rng.Uniform(kPages), &ref).ok()) {
+      state.SkipWithError("pin failed");
+      break;
+    }
+    benchmark::DoNotOptimize(ref.payload().data());
+  }
+}
+BENCHMARK(BM_BufferPoolPinHit)->Threads(1)->Threads(4)->UseRealTime();
 
 Block MakeBenchBlock(int txns) {
   BlockBuilder builder;

@@ -1,5 +1,6 @@
 #include "common/bitmap.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -45,6 +46,14 @@ size_t Bitmap::Count() const {
 bool Bitmap::AnySet() const {
   for (uint64_t w : words_) {
     if (w != 0) return true;
+  }
+  return false;
+}
+
+bool Bitmap::Intersects(const Bitmap& other) const {
+  const size_t n = std::min(words_.size(), other.words_.size());
+  for (size_t i = 0; i < n; i++) {
+    if ((words_[i] & other.words_[i]) != 0) return true;
   }
   return false;
 }

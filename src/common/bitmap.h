@@ -31,6 +31,9 @@ class Bitmap {
   /// Number of set bits.
   size_t Count() const;
   bool AnySet() const;
+  /// True when some bit is set in both (what And(other).AnySet() would
+  /// report, without the copy).
+  bool Intersects(const Bitmap& other) const;
 
   /// In-place intersection / union. The result has max(size) bits; the
   /// shorter operand is treated as zero-extended.

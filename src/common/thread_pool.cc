@@ -169,9 +169,13 @@ Status ParallelForStatus(ThreadPool* pool, uint64_t n,
     }
     return Status::OK();
   }
+  // first_index is read lock-free on every item to skip work past a
+  // failure; only recording a failure takes the lock. It only ever
+  // decreases, and it is written under mu together with status, so the
+  // status kept is always the smallest failing index's.
   struct ErrorState {
+    std::atomic<uint64_t> first_index{UINT64_MAX};
     Mutex mu;
-    uint64_t first_index GUARDED_BY(mu) = UINT64_MAX;
     Status status GUARDED_BY(mu);
   };
   ErrorState error;
@@ -180,15 +184,12 @@ Status ParallelForStatus(ThreadPool* pool, uint64_t n,
       [&](uint64_t i) {
         // Skip work past an already-recorded failure; a serial loop would
         // have stopped there, and its output is discarded anyway.
-        {
-          MutexLock lock(&error.mu);
-          if (i > error.first_index) return;
-        }
+        if (i > error.first_index.load(std::memory_order_relaxed)) return;
         Status s = fn(i);
         if (!s.ok()) {
           MutexLock lock(&error.mu);
-          if (i < error.first_index) {
-            error.first_index = i;
+          if (i < error.first_index.load(std::memory_order_relaxed)) {
+            error.first_index.store(i, std::memory_order_relaxed);
             error.status = std::move(s);
           }
         }

@@ -100,9 +100,7 @@ Bitmap LayeredIndex::CandidateBlocks(const Value* lo, const Value* hi) const {
   }
   Bitmap query_buckets = histogram_.BucketsOverlapping(lo, hi);
   for (uint64_t bid = 0; bid < block_buckets_.size(); bid++) {
-    Bitmap probe = block_buckets_[bid];  // copy; AND is destructive
-    probe.And(query_buckets);
-    if (probe.AnySet()) result.Set(bid);
+    if (block_buckets_[bid].Intersects(query_buckets)) result.Set(bid);
   }
   return result;
 }

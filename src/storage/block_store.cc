@@ -479,10 +479,25 @@ Status BlockStore::ReadAt(uint32_t segment, uint64_t offset, size_t n,
   return reader->Read(offset, n, out);
 }
 
-Status BlockStore::ReadPayload(const Location& loc, std::string* out) const {
+Status BlockStore::Locate(BlockId height, Location* loc,
+                          std::shared_ptr<RandomAccessFile>* reader) const {
+  MutexLock lock(&mu_);
+  if (height >= locations_.size()) {
+    return Status::NotFound("no block at height " + std::to_string(height));
+  }
+  *loc = locations_[height];
+  *reader = Reader(loc->segment);
+  if (*reader == nullptr) {
+    return Status::IOError("cannot open segment " +
+                           std::to_string(loc->segment));
+  }
+  return Status::OK();
+}
+
+Status BlockStore::ReadPayload(const RandomAccessFile& reader,
+                               const Location& loc, std::string* out) {
   std::string with_crc;
-  Status s =
-      ReadAt(loc.segment, loc.offset, loc.length + kFrameTrailerSize, &with_crc);
+  Status s = reader.Read(loc.offset, loc.length + kFrameTrailerSize, &with_crc);
   if (!s.ok()) return s;
   uint32_t stored_crc = DecodeFixed32(with_crc.data() + loc.length);
   if (Crc32(0, with_crc.data(), loc.length) != stored_crc) {
@@ -503,15 +518,11 @@ Status BlockStore::ReadBlock(BlockId height,
     }
   }
   Location loc;
-  {
-    MutexLock lock(&mu_);
-    if (height >= locations_.size()) {
-      return Status::NotFound("no block at height " + std::to_string(height));
-    }
-    loc = locations_[height];
-  }
+  std::shared_ptr<RandomAccessFile> reader;
+  Status s = Locate(height, &loc, &reader);
+  if (!s.ok()) return s;
   std::string payload;
-  Status s = ReadPayload(loc, &payload);
+  s = ReadPayload(*reader, loc, &payload);
   if (!s.ok()) return s;
   stats_.blocks_read.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_read.fetch_add(payload.size(), std::memory_order_relaxed);
@@ -603,23 +614,19 @@ Status BlockStore::ReadHeader(BlockId height, BlockHeader* out) {
     }
   }
   Location loc;
-  {
-    MutexLock lock(&mu_);
-    if (height >= locations_.size()) {
-      return Status::NotFound("no block at height " + std::to_string(height));
-    }
-    loc = locations_[height];
-  }
+  std::shared_ptr<RandomAccessFile> reader;
+  Status s = Locate(height, &loc, &reader);
+  if (!s.ok()) return s;
   // First positional read: the header length prefix; second: the header.
   std::string prefix;
-  Status s = ReadAt(loc.segment, loc.offset, 4, &prefix);
+  s = reader->Read(loc.offset, 4, &prefix);
   if (!s.ok()) return s;
   uint32_t header_len = DecodeFixed32(prefix.data());
   if (header_len + 4 > loc.length) {
     return Status::Corruption("block header length out of range");
   }
   std::string header_bytes;
-  s = ReadAt(loc.segment, loc.offset + 4, header_len, &header_bytes);
+  s = reader->Read(loc.offset + 4, header_len, &header_bytes);
   if (!s.ok()) return s;
   stats_.headers_read.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_read.fetch_add(4 + header_bytes.size(),
@@ -654,45 +661,49 @@ Status BlockStore::ReadTransaction(BlockId height, uint32_t index,
   }
 
   Location loc;
-  {
-    MutexLock lock(&mu_);
-    if (height >= locations_.size()) {
-      return Status::NotFound("no block at height " + std::to_string(height));
-    }
-    loc = locations_[height];
-  }
+  std::shared_ptr<RandomAccessFile> reader;
+  Status s = Locate(height, &loc, &reader);
+  if (!s.ok()) return s;
 
-  // Random-read path: (1) header length, (2) txn count + offset entries,
-  // (3) the transaction bytes themselves.
+  // Random-read path: (1) header length, (2) txn count through
+  // offsets[index + 1] (clamped to the record), (3) the transaction bytes.
+  const uint64_t record_end = loc.offset + loc.length;
   std::string prefix;
-  Status s = ReadAt(loc.segment, loc.offset, 4, &prefix);
+  s = reader->Read(loc.offset, 4, &prefix);
   if (!s.ok()) return s;
   uint32_t header_len = DecodeFixed32(prefix.data());
   uint64_t count_off = loc.offset + 4 + header_len;
+  if (count_off + 4 > record_end) {
+    return Status::Corruption("block header length out of range");
+  }
 
-  std::string count_bytes;
-  s = ReadAt(loc.segment, count_off, 4, &count_bytes);
+  std::string table;
+  const uint64_t table_len = 4 + (static_cast<uint64_t>(index) + 2) * 4;
+  s = reader->Read(count_off, std::min(table_len, record_end - count_off),
+                   &table);
   if (!s.ok()) return s;
-  uint32_t n = DecodeFixed32(count_bytes.data());
+  uint32_t n = DecodeFixed32(table.data());
   if (index >= n) return Status::InvalidArgument("transaction index out of range");
-
-  // Read offsets[index] and, when available, offsets[index + 1].
-  bool has_next = index + 1 < n;
-  std::string offset_bytes;
-  s = ReadAt(loc.segment, count_off + 4 + static_cast<uint64_t>(index) * 4,
-             has_next ? 8 : 4, &offset_bytes);
-  if (!s.ok()) return s;
-  uint32_t start = DecodeFixed32(offset_bytes.data());
+  const bool has_next = index + 1 < n;
+  const uint64_t entry_off = 4 + static_cast<uint64_t>(index) * 4;
+  if (entry_off + (has_next ? 8 : 4) > table.size()) {
+    return Status::Corruption("bad transaction offsets");
+  }
+  uint32_t start = DecodeFixed32(table.data() + entry_off);
   uint64_t body_off = count_off + 4 + static_cast<uint64_t>(n) * 4;
-  uint64_t body_len = loc.offset + loc.length - body_off;
-  uint64_t end = has_next ? DecodeFixed32(offset_bytes.data() + 4) : body_len;
+  if (body_off > record_end) {
+    return Status::Corruption("bad transaction offsets");
+  }
+  uint64_t body_len = record_end - body_off;
+  uint64_t end =
+      has_next ? DecodeFixed32(table.data() + entry_off + 4) : body_len;
   if (start > end || end > body_len) {
     return Status::Corruption("bad transaction offsets");
   }
 
   std::string txn_bytes;
-  s = ReadAt(loc.segment, body_off + start, static_cast<size_t>(end - start),
-             &txn_bytes);
+  s = reader->Read(body_off + start, static_cast<size_t>(end - start),
+                   &txn_bytes);
   if (!s.ok()) return s;
   stats_.transactions_read.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_read.fetch_add(16 + txn_bytes.size(),
@@ -711,14 +722,10 @@ Status BlockStore::ReadTransaction(BlockId height, uint32_t index,
 
 Status BlockStore::ReadRawRecord(BlockId height, std::string* out) {
   Location loc;
-  {
-    MutexLock lock(&mu_);
-    if (height >= locations_.size()) {
-      return Status::NotFound("no block at height " + std::to_string(height));
-    }
-    loc = locations_[height];
-  }
-  return ReadPayload(loc, out);
+  std::shared_ptr<RandomAccessFile> reader;
+  Status s = Locate(height, &loc, &reader);
+  if (!s.ok()) return s;
+  return ReadPayload(*reader, loc, out);
 }
 
 BlockStore::CacheStats BlockStore::cache_stats() const {

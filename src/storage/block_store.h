@@ -221,10 +221,14 @@ class BlockStore {
                           const std::vector<std::string>& segments)
       REQUIRES(mu_);
   Status AppendPayload(const Slice& payload) REQUIRES(mu_);
-  Status ReadPayload(const Location& loc, std::string* out) const
-      EXCLUDES(mu_);
+  static Status ReadPayload(const RandomAccessFile& reader, const Location& loc,
+                            std::string* out);
   Status ReadAt(uint32_t segment, uint64_t offset, size_t n,
                 std::string* out) const EXCLUDES(mu_);
+  /// The location of block `height` and its segment's reader, under one
+  /// acquisition of mu_.
+  Status Locate(BlockId height, Location* loc,
+                std::shared_ptr<RandomAccessFile>* reader) const EXCLUDES(mu_);
   std::shared_ptr<RandomAccessFile> Reader(uint32_t segment) const
       REQUIRES(mu_);
 

@@ -1,22 +1,14 @@
 #include "storage/buffer_manager.h"
 
-#include <algorithm>
-
 namespace sebdb {
 
-// A resident page. `data` is the full encoded page; payload_off/len index
-// into it. The bytes are written once (on fault or append) and immutable
-// afterwards, so pinned readers touch them without the pool lock.
+// A resident page. `data` is the full encoded page; the payload follows its
+// header. Written once (on fault or append) and immutable afterwards, so a
+// PageRef reads it without any lock.
 struct BufferManager::Frame {
-  FileId file = 0;
-  PageId page = 0;
   std::string data;
   PageType type = PageType::kBlob;
   uint32_t payload_len = 0;
-  int pins = 0;
-  bool dirty = false;
-  bool in_lru = false;
-  std::list<Frame*>::iterator lru_pos;
 };
 
 PageType BufferManager::PageRef::type() const { return frame_->type; }
@@ -27,15 +19,16 @@ Slice BufferManager::PageRef::payload() const {
 
 void BufferManager::PageRef::Release() {
   if (frame_ != nullptr) {
-    bm_->Unpin(frame_);
-    frame_ = nullptr;
-    bm_ = nullptr;
+    frame_.reset();
+    pinned_->fetch_sub(1, std::memory_order_relaxed);
+    pinned_ = nullptr;
   }
 }
 
 BufferManager::BufferManager(BufferPoolOptions options)
     : options_(options),
-      env_(options.env != nullptr ? options.env : Env::Default()) {}
+      env_(options.env != nullptr ? options.env : Env::Default()),
+      clean_(options.capacity_bytes) {}
 
 BufferManager::~BufferManager() = default;
 
@@ -82,21 +75,17 @@ void BufferManager::DropFile(FileId id) {
   MutexLock lock(&mu_);
   if (id >= files_.size() || files_[id] == nullptr) return;
   FileState* fs = files_[id].get();
-  for (PageId p = 0; p < fs->num_pages; p++) {
-    auto it = frames_.find(FrameKey(id, p));
-    if (it == frames_.end()) continue;
-    Frame* frame = it->second.get();
-    if (frame->in_lru) lru_.erase(frame->lru_pos);
-    if (frame->dirty) dirty_bytes_ -= kPageSize;
-    usage_ -= kPageSize;
-    frames_.erase(it);
-  }
-  fs->dirty.clear();
+  for (PageId p = 0; p < fs->flushed_pages; p++) clean_.Erase(FrameKey(id, p));
+  dirty_bytes_ -= fs->dirty.size() * kPageSize;
   if (fs->writer != nullptr) fs->writer->Close().ok();
   files_[id] = nullptr;
 }
 
 Status BufferManager::Pin(FileId file, PageId page, PageRef* out) {
+  if (auto frame = clean_.Lookup(FrameKey(file, page))) {
+    *out = PageRef(&pinned_, std::move(frame));
+    return Status::OK();
+  }
   const ReadableFile* reader = nullptr;
   std::string path;
   {
@@ -109,21 +98,12 @@ Status BufferManager::Pin(FileId file, PageId page, PageRef* out) {
       return Status::InvalidArgument("page " + std::to_string(page) +
                                      " past end of " + fs->path);
     }
-    auto it = frames_.find(FrameKey(file, page));
-    if (it != frames_.end()) {
-      Frame* frame = it->second.get();
-      hits_++;
-      if (frame->in_lru) {
-        lru_.erase(frame->lru_pos);
-        frame->in_lru = false;
-      }
-      if (frame->pins++ == 0) pinned_++;
-      *out = PageRef(this, frame);
+    if (page >= fs->flushed_pages) {
+      dirty_hits_++;
+      *out = PageRef(&pinned_, fs->dirty[page - fs->flushed_pages]);
       return Status::OK();
     }
     misses_++;
-    // Every unflushed page has a resident dirty frame, so a miss is always
-    // below the flushed prefix and readable from disk.
     if (fs->reader == nullptr) {
       Status s = env_->NewReadableFile(fs->path, &fs->reader);
       if (!s.ok()) return s;
@@ -134,63 +114,22 @@ Status BufferManager::Pin(FileId file, PageId page, PageRef* out) {
     path = fs->path;
   }
 
-  std::string buf;
-  Status s =
-      reader->Read(static_cast<uint64_t>(page) * kPageSize, kPageSize, &buf);
+  auto frame = std::make_shared<Frame>();
+  Status s = reader->Read(static_cast<uint64_t>(page) * kPageSize, kPageSize,
+                          &frame->data);
   if (!s.ok()) return s;
-  if (buf.size() != kPageSize) {
+  if (frame->data.size() != kPageSize) {
     return Status::IOError("short page read from " + path);
   }
-  PageType type;
   Slice payload;
-  s = DecodePage(Slice(buf), &type, &payload);
+  s = DecodePage(Slice(frame->data), &frame->type, &payload);
   if (!s.ok()) return s;
-
-  MutexLock lock(&mu_);
-  // Re-check: a concurrent fault may have installed the frame meanwhile.
-  auto it = frames_.find(FrameKey(file, page));
-  if (it == frames_.end()) {
-    auto frame = std::make_unique<Frame>();
-    frame->file = file;
-    frame->page = page;
-    frame->data = std::move(buf);
-    frame->type = type;
-    frame->payload_len = static_cast<uint32_t>(payload.size());
-    it = frames_.emplace(FrameKey(file, page), std::move(frame)).first;
-    usage_ += kPageSize;
-    EvictIfNeeded();
-  }
-  Frame* frame = it->second.get();
-  if (frame->in_lru) {
-    lru_.erase(frame->lru_pos);
-    frame->in_lru = false;
-  }
-  if (frame->pins++ == 0) pinned_++;
-  *out = PageRef(this, frame);
+  frame->payload_len = static_cast<uint32_t>(payload.size());
+  // A concurrent fault of the same page may insert too; the copies are
+  // identical and the later one replaces the earlier.
+  clean_.Insert(FrameKey(file, page), frame, kPageSize);
+  *out = PageRef(&pinned_, std::move(frame));
   return Status::OK();
-}
-
-void BufferManager::Unpin(Frame* frame) {
-  MutexLock lock(&mu_);
-  if (--frame->pins == 0) {
-    pinned_--;
-    if (!frame->dirty) {
-      lru_.push_front(frame);
-      frame->lru_pos = lru_.begin();
-      frame->in_lru = true;
-      EvictIfNeeded();
-    }
-  }
-}
-
-void BufferManager::EvictIfNeeded() {
-  while (usage_ > options_.capacity_bytes && !lru_.empty()) {
-    Frame* victim = lru_.back();
-    lru_.pop_back();
-    usage_ -= kPageSize;
-    evictions_++;
-    frames_.erase(FrameKey(victim->file, victim->page));
-  }
 }
 
 Status BufferManager::AppendPage(FileId file, PageType type,
@@ -207,21 +146,14 @@ Status BufferManager::AppendPage(FileId file, PageType type,
     return Status::IOError("file " + fs->path +
                            " wedged by an earlier write failure");
   }
-  auto frame = std::make_unique<Frame>();
+  auto frame = std::make_shared<Frame>();
   Status s = EncodePage(type, payload, &frame->data);
   if (!s.ok()) return s;
-  frame->file = file;
-  frame->page = fs->num_pages;
   frame->type = type;
   frame->payload_len = static_cast<uint32_t>(payload.size());
-  frame->dirty = true;
-  *page = frame->page;
-  fs->dirty.push_back(frame.get());
-  frames_.emplace(FrameKey(file, frame->page), std::move(frame));
-  fs->num_pages++;
-  usage_ += kPageSize;
+  *page = fs->num_pages++;
+  fs->dirty.push_back(std::move(frame));
   dirty_bytes_ += kPageSize;
-  EvictIfNeeded();
   if (dirty_bytes_ > options_.capacity_bytes / 2) {
     return FlushLocked(file, fs);
   }
@@ -229,9 +161,8 @@ Status BufferManager::AppendPage(FileId file, PageType type,
 }
 
 Status BufferManager::FlushLocked(FileId file, FileState* fs) {
-  (void)file;
   if (fs->dirty.empty()) return Status::OK();
-  for (Frame* frame : fs->dirty) {
+  for (const auto& frame : fs->dirty) {
     Status s = fs->writer->Append(frame->data);
     if (!s.ok()) {
       fs->failed = true;  // unknown how much reached the file
@@ -244,18 +175,13 @@ Status BufferManager::FlushLocked(FileId file, FileState* fs) {
     fs->failed = true;
     return s;
   }
-  for (Frame* frame : fs->dirty) {
-    frame->dirty = false;
-    dirty_bytes_ -= kPageSize;
-    if (frame->pins == 0) {
-      lru_.push_front(frame);
-      frame->lru_pos = lru_.begin();
-      frame->in_lru = true;
-    }
+  for (size_t i = 0; i < fs->dirty.size(); i++) {
+    clean_.Insert(FrameKey(file, fs->flushed_pages + static_cast<PageId>(i)),
+                  std::move(fs->dirty[i]), kPageSize);
   }
+  dirty_bytes_ -= fs->dirty.size() * kPageSize;
   fs->dirty.clear();
   fs->flushed_pages = fs->num_pages;
-  EvictIfNeeded();
   return Status::OK();
 }
 
@@ -280,22 +206,21 @@ uint64_t BufferManager::file_pages(FileId file) const {
 }
 
 BufferManager::Stats BufferManager::stats() const {
+  const auto clean = clean_.stats();
   MutexLock lock(&mu_);
   Stats out;
-  out.hits = hits_;
+  out.hits = clean.hits + dirty_hits_;
   out.misses = misses_;
-  out.evictions = evictions_;
+  out.evictions = clean.evictions;
   out.dirty_writes = dirty_writes_;
-  out.pages = frames_.size();
-  out.pinned = pinned_;
   out.dirty = dirty_bytes_ / kPageSize;
-  out.usage = usage_;
+  out.pages = clean.entries + out.dirty;
+  out.pinned = pinned_.load(std::memory_order_relaxed);
+  out.usage = clean.usage + dirty_bytes_;
   out.capacity = options_.capacity_bytes;
-  uint64_t files = 0;
   for (const auto& fs : files_) {
-    if (fs != nullptr) files++;
+    if (fs != nullptr) out.files++;
   }
-  out.files = files;
   return out;
 }
 

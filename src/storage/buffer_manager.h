@@ -1,26 +1,28 @@
 // BufferManager: a page cache between the disk-resident index structures
 // and the Env file seam. Readers Pin() pages — faulting them from disk with
 // CRC validation on every fault — and hold a PageRef while the bytes are in
-// use; unpinned clean pages sit on an LRU list and are evicted when the pool
-// exceeds its byte capacity (the same charge-based discipline as
-// common/lru_cache, but with pin counts because callers hold raw views into
-// frame memory). Checkpoint builders AppendPage() new pages through the same
-// pool; dirty pages are retained (never evicted) until Flush() writes them —
-// in page-id order, which for append-only files is append order — and syncs.
+// use. Clean pages live in one sharded LruCache (common/lru_cache.h) keyed by
+// (file, page) and are evicted by charge when the pool exceeds its byte
+// capacity. A PageRef owns a shared_ptr to its immutable frame, so a pinned
+// page stays valid after it is evicted: there are no pin counts, and a hit
+// takes only one cache shard's lock. Checkpoint builders AppendPage() new
+// pages through the same pool; dirty pages are held in their file's list
+// (pinnable, never evicted) until Flush() writes them — in page-id order,
+// which for append-only files is append order — syncs, and moves them into
+// the cache.
 //
 // All I/O goes through Env, so the fault-injection environment covers
-// checkpoint files exactly like block segments. Internally synchronized; the
-// frame bytes behind a PageRef are immutable while pinned.
+// checkpoint files exactly like block segments. Internally synchronized.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/env.h"
+#include "common/lru_cache.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -40,17 +42,17 @@ class BufferManager {
   using FileId = uint32_t;
   static constexpr FileId kInvalidFileId = 0xFFFFFFFFu;
 
-  /// One coherent snapshot of the pool counters (single lock acquisition),
-  /// surfaced through ChainManager and the node startup log like CacheStats.
+  /// Snapshot of the pool counters, surfaced through ChainManager and the
+  /// node startup log like CacheStats.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;        // faults from disk
     uint64_t evictions = 0;
     uint64_t dirty_writes = 0;  // pages written by Flush
-    uint64_t pages = 0;         // frames resident
-    uint64_t pinned = 0;        // frames with a live PageRef
+    uint64_t pages = 0;         // frames resident (clean + dirty)
+    uint64_t pinned = 0;        // live PageRefs
     uint64_t dirty = 0;         // frames awaiting Flush
-    uint64_t usage = 0;         // resident bytes
+    uint64_t usage = 0;         // resident bytes (clean + dirty)
     uint64_t capacity = 0;
     uint64_t files = 0;
   };
@@ -75,8 +77,9 @@ class BufferManager {
 
   struct Frame;
 
-  /// Pin guard: the page stays resident (and its payload view valid) until
-  /// release. Movable, not copyable.
+  /// Pin guard: owns the page's immutable frame, so its payload view stays
+  /// valid until release even if the pool evicts the page meanwhile.
+  /// Movable, not copyable.
   class PageRef {
    public:
     PageRef() = default;
@@ -85,10 +88,9 @@ class BufferManager {
     PageRef& operator=(PageRef&& other) noexcept {
       if (this != &other) {
         Release();
-        bm_ = other.bm_;
-        frame_ = other.frame_;
-        other.bm_ = nullptr;
-        other.frame_ = nullptr;
+        pinned_ = other.pinned_;
+        frame_ = std::move(other.frame_);
+        other.pinned_ = nullptr;
       }
       return *this;
     }
@@ -102,23 +104,27 @@ class BufferManager {
 
    private:
     friend class BufferManager;
-    PageRef(BufferManager* bm, Frame* frame) : bm_(bm), frame_(frame) {}
-    BufferManager* bm_ = nullptr;
-    Frame* frame_ = nullptr;
+    PageRef(std::atomic<uint64_t>* pinned, std::shared_ptr<const Frame> frame)
+        : pinned_(pinned), frame_(std::move(frame)) {
+      pinned_->fetch_add(1, std::memory_order_relaxed);
+    }
+    std::atomic<uint64_t>* pinned_ = nullptr;  // the pool's live-ref count
+    std::shared_ptr<const Frame> frame_;
   };
 
   /// Pins page `page` of `file`, faulting it from disk (with CRC validation)
   /// on a miss.
   Status Pin(FileId file, PageId page, PageRef* out) EXCLUDES(mu_);
 
-  /// Appends a new page to a writable file. The frame is dirty — resident
-  /// and readable, but not evictable — until Flush. When dirty bytes exceed
-  /// half the pool capacity the file is flushed inline (bounds memory while
-  /// building checkpoints larger than the pool).
+  /// Appends a new page to a writable file. The frame is dirty — held in
+  /// the file's list and pinnable, but not evictable — until Flush. When
+  /// dirty bytes exceed half the pool capacity the file is flushed inline
+  /// (bounds memory while building checkpoints larger than the pool).
   Status AppendPage(FileId file, PageType type, const Slice& payload,
                     PageId* page) EXCLUDES(mu_);
 
-  /// Writes the file's dirty pages (in page order) and syncs.
+  /// Writes the file's dirty pages (in page order), syncs, and moves them
+  /// into the clean-page cache.
   Status Flush(FileId file) EXCLUDES(mu_);
 
   /// Pages in the file (appended-but-unflushed pages included).
@@ -138,11 +144,10 @@ class BufferManager {
     std::unique_ptr<ReadableFile> reader;  // opened on first fault
     PageId num_pages = 0;      // appended (flushed or not)
     PageId flushed_pages = 0;  // durable prefix
-    std::vector<Frame*> dirty;  // append order
+    // Pages [flushed_pages, num_pages), in append order.
+    std::vector<std::shared_ptr<const Frame>> dirty;
   };
 
-  void Unpin(Frame* frame) EXCLUDES(mu_);
-  void EvictIfNeeded() REQUIRES(mu_);
   Status FlushLocked(FileId file, FileState* fs) REQUIRES(mu_);
   static uint64_t FrameKey(FileId file, PageId page) {
     return (static_cast<uint64_t>(file) << 32) | page;
@@ -150,17 +155,14 @@ class BufferManager {
 
   BufferPoolOptions options_;
   Env* env_;
+  LruCache<uint64_t, const Frame> clean_;  // flushed pages, internally locked
+  std::atomic<uint64_t> pinned_{0};
 
   mutable Mutex mu_;
   std::vector<std::unique_ptr<FileState>> files_ GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames_ GUARDED_BY(mu_);
-  std::list<Frame*> lru_ GUARDED_BY(mu_);  // unpinned clean frames, MRU first
-  uint64_t usage_ GUARDED_BY(mu_) = 0;
   uint64_t dirty_bytes_ GUARDED_BY(mu_) = 0;
-  uint64_t pinned_ GUARDED_BY(mu_) = 0;
-  uint64_t hits_ GUARDED_BY(mu_) = 0;
+  uint64_t dirty_hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
-  uint64_t evictions_ GUARDED_BY(mu_) = 0;
   uint64_t dirty_writes_ GUARDED_BY(mu_) = 0;
 };
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -431,6 +433,23 @@ TEST(BitmapTest, MatchesReferenceImplementation) {
   EXPECT_EQ(b.Count(), ref_count);
 }
 
+TEST(BitmapTest, IntersectsMatchesAndThenAnySet) {
+  Random rng(7);
+  for (int trial = 0; trial < 200; trial++) {
+    Bitmap a(1 + rng.Uniform(300));
+    Bitmap b(1 + rng.Uniform(300));
+    for (int i = 0; i < 3; i++) {
+      a.Set(rng.Uniform(a.size()));
+      b.Set(rng.Uniform(b.size()));
+    }
+    Bitmap both = a;
+    both.And(b);
+    EXPECT_EQ(a.Intersects(b), both.AnySet()) << trial;
+    EXPECT_EQ(b.Intersects(a), both.AnySet()) << trial;
+  }
+  EXPECT_FALSE(Bitmap().Intersects(Bitmap(64)));
+}
+
 TEST(LruCacheTest, InsertLookupEvict) {
   LruCache<int, std::string> cache(100);
   cache.Insert(1, std::make_shared<std::string>("one"), 40);
@@ -467,6 +486,73 @@ TEST(LruCacheTest, HitMissCounters) {
   cache.Lookup(2);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(LruCacheTest, ShardCountFollowsCapacity) {
+  EXPECT_EQ((LruCache<int, int>(100).num_shards()), 1u);
+  EXPECT_EQ((LruCache<int, int>((2 << 20) - 1).num_shards()), 1u);
+  EXPECT_EQ((LruCache<int, int>(2 << 20).num_shards()), 2u);
+  EXPECT_EQ((LruCache<int, int>(8 << 20).num_shards()), 8u);
+  EXPECT_EQ((LruCache<int, int>(64 << 20).num_shards()), 16u);
+  EXPECT_EQ((LruCache<int, int>(1ull << 32).num_shards()), 16u);
+}
+
+TEST(LruCacheTest, EvictedEntryStaysReadableThroughItsSharedPtr) {
+  LruCache<uint64_t, std::string> cache(64 << 20);  // 16 shards of 4 MiB
+  std::shared_ptr<std::string> held = std::make_shared<std::string>("kept");
+  cache.Insert(0, held, 1 << 20);
+  std::shared_ptr<std::string> looked_up = cache.Lookup(0);
+  held.reset();
+  // Far more than a shard holds: key 0 is evicted from its shard.
+  for (uint64_t k = 1; k <= 256; k++) {
+    cache.Insert(k, std::make_shared<std::string>("x"), 1 << 20);
+  }
+  EXPECT_EQ(cache.Lookup(0), nullptr);
+  ASSERT_NE(looked_up, nullptr);
+  EXPECT_EQ(*looked_up, "kept");
+  EXPECT_LE(cache.usage(), cache.capacity());
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(LruCacheTest, ConcurrentInsertLookupEraseStress) {
+  LruCache<uint64_t, uint64_t> cache(64 << 20);
+  ASSERT_EQ(cache.num_shards(), 16u);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kOps = 20000;
+  constexpr uint64_t kKeys = 4096;
+  std::atomic<uint64_t> lookups{0};
+  std::atomic<bool> wrong_value{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      Random rng(t + 1);
+      for (uint64_t i = 0; i < kOps; i++) {
+        const uint64_t key = rng.Uniform(kKeys);
+        switch (rng.Uniform(4)) {
+          case 0:
+            // Large charges (~32 KiB) so the 4 MiB shards keep evicting.
+            cache.Insert(key, std::make_shared<uint64_t>(key * 7),
+                         (16 << 10) + rng.Uniform(32 << 10));
+            break;
+          case 1:
+            cache.Erase(key);
+            break;
+          default: {
+            lookups.fetch_add(1, std::memory_order_relaxed);
+            auto value = cache.Lookup(key);
+            if (value != nullptr && *value != key * 7) wrong_value = true;
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(wrong_value.load());
+  const auto stats = cache.stats();
+  EXPECT_LE(stats.usage, cache.capacity());
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.hits, 0u);
 }
 
 TEST(ClockTest, ManualClockAdvances) {

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -214,6 +216,101 @@ TEST(BufferManagerTest, RejectsTornFileAndCorruptPage) {
   pool.DropFile(id);
   ASSERT_TRUE(pool.CreateFile(fresh, &id).ok());
   EXPECT_EQ(pool.file_pages(id), 0u);
+}
+
+TEST(BufferManagerTest, ConcurrentPinsOverFileLargerThanPool) {
+  ScratchDir dir("bm_concurrent");
+  const std::string path = dir.path() + "/pages";
+  constexpr int kPages = 768;  // 3 MiB of pages
+  {
+    BufferManager pool = MakePool(1 << 20);
+    BufferManager::FileId file;
+    ASSERT_TRUE(pool.CreateFile(path, &file).ok());
+    for (int i = 0; i < kPages; i++) {
+      PageId pid;
+      ASSERT_TRUE(pool.AppendPage(file, PageType::kBlob,
+                                  "page " + std::to_string(i), &pid)
+                      .ok());
+    }
+    ASSERT_TRUE(pool.Flush(file).ok());
+  }
+
+  // A 2 MiB pool (two cache shards) over a 3 MiB file keeps evicting while
+  // four readers pin pages at random.
+  BufferManager pool = MakePool(2 << 20);
+  BufferManager::FileId file;
+  ASSERT_TRUE(pool.OpenFile(path, &file).ok());
+  constexpr int kThreads = 4;
+  constexpr int kPinsPerThread = 3000;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(t + 1);
+      for (int i = 0; i < kPinsPerThread; i++) {
+        const PageId page = rng() % kPages;
+        BufferManager::PageRef ref;
+        if (!pool.Pin(file, page, &ref).ok() ||
+            ref.payload().ToString() != "page " + std::to_string(page)) {
+          failures++;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  const BufferManager::Stats stats = pool.stats();
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<uint64_t>(kThreads * kPinsPerThread));
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.usage, 2u << 20);
+  EXPECT_EQ(stats.pinned, 0u);
+}
+
+TEST(BufferManagerTest, UnflushedPageStaysPinnableUnderPressure) {
+  ScratchDir dir("bm_dirty");
+  const std::string cold = dir.path() + "/cold";
+  constexpr int kPages = 16;
+  {
+    BufferManager pool = MakePool(1 << 20);
+    BufferManager::FileId file;
+    ASSERT_TRUE(pool.CreateFile(cold, &file).ok());
+    for (int i = 0; i < kPages; i++) {
+      PageId pid;
+      ASSERT_TRUE(
+          pool.AppendPage(file, PageType::kBlob, std::to_string(i), &pid).ok());
+    }
+    ASSERT_TRUE(pool.Flush(file).ok());
+  }
+
+  BufferManager pool = MakePool(8 * kPageSize);
+  BufferManager::FileId cold_file, hot_file;
+  ASSERT_TRUE(pool.OpenFile(cold, &cold_file).ok());
+  ASSERT_TRUE(pool.CreateFile(dir.path() + "/hot", &hot_file).ok());
+  PageId hot_page;
+  ASSERT_TRUE(
+      pool.AppendPage(hot_file, PageType::kBlob, "unflushed", &hot_page).ok());
+  // Twice the pool's worth of clean faults: the dirty page must survive.
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < kPages; i++) {
+      BufferManager::PageRef ref;
+      ASSERT_TRUE(pool.Pin(cold_file, i, &ref).ok());
+    }
+  }
+  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_EQ(pool.stats().dirty, 1u);
+  {
+    BufferManager::PageRef ref;
+    ASSERT_TRUE(pool.Pin(hot_file, hot_page, &ref).ok());
+    EXPECT_EQ(ref.payload().ToString(), "unflushed");
+  }
+  // Flush hands the page to the clean cache; it stays readable.
+  ASSERT_TRUE(pool.Flush(hot_file).ok());
+  EXPECT_EQ(pool.stats().dirty, 0u);
+  BufferManager::PageRef ref;
+  ASSERT_TRUE(pool.Pin(hot_file, hot_page, &ref).ok());
+  EXPECT_EQ(ref.payload().ToString(), "unflushed");
+  EXPECT_LE(pool.stats().usage, 8 * kPageSize);
 }
 
 // --- disk B+-tree ---
