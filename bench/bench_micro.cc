@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "common/random.h"
 #include "common/sha256.h"
 #include "index/bptree.h"
+#include "index/layered_index.h"
 #include "network/rpc.h"
 #include "network/tcp_network.h"
 #include "storage/block.h"
@@ -219,6 +221,56 @@ void BM_BufferPoolPinHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolPinHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// One SeekGE into a resident one-leaf checkpointed second-level tree, the
+// probe Q2-Q4 make per candidate block: Arg 0 = 120 int keys, Arg 1 = 200
+// short string keys ("org-000".."org-199").
+void BM_DiskTreeSeek(benchmark::State& state) {
+  struct Trees {
+    std::string path;
+    BufferManager pool{BufferPoolOptions{}};
+    std::vector<Value> keys[2];
+    LayeredIndex::DiskTree::Ref refs[2];
+    Trees() : path("/tmp/sebdb_bench_micro_tree_" + std::to_string(::getpid())) {
+      for (int i = 0; i < 120; i++) keys[0].push_back(Value::Int(i * 7));
+      for (int i = 0; i < 200; i++) {
+        char name[16];
+        snprintf(name, sizeof(name), "org-%03d", i);
+        keys[1].push_back(Value::Str(name));
+      }
+      BufferManager::FileId file;
+      if (!pool.CreateFile(path, &file).ok()) std::abort();
+      for (int t = 0; t < 2; t++) {
+        DiskBpTreeBuilder<Value, uint32_t, ValuePosCodec,
+                          LayeredIndex::ValueCmp>
+            builder(&pool, file);
+        for (size_t i = 0; i < keys[t].size(); i++) {
+          if (!builder.Add(keys[t][i], static_cast<uint32_t>(i)).ok()) {
+            std::abort();
+          }
+        }
+        if (!builder.Finish(&refs[t]).ok()) std::abort();
+      }
+      if (!pool.Flush(file).ok()) std::abort();
+    }
+    ~Trees() { Env::Default()->RemoveFile(path).ok(); }
+  };
+  static Trees trees;
+  const int t = static_cast<int>(state.range(0));
+  const std::vector<Value>& keys = trees.keys[t];
+  LayeredIndex::DiskTree tree(&trees.pool, trees.refs[t]);
+  Random rng(state.thread_index() + 1);
+  for (auto _ : state) {
+    auto it = tree.SeekGE(keys[rng.Uniform(keys.size())]);
+    if (!it.Valid()) {
+      state.SkipWithError("seek missed");
+      break;
+    }
+    benchmark::DoNotOptimize(it.value());
+  }
+}
+BENCHMARK(BM_DiskTreeSeek)->Arg(0)->Arg(1)->Threads(1)->Threads(4)
+    ->UseRealTime();
 
 Block MakeBenchBlock(int txns) {
   BlockBuilder builder;

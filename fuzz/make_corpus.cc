@@ -275,6 +275,32 @@ void PageSeeds(const std::string& dir) {
     WriteFile(dir, "page_leaf", bytes);
   }
   {
+    // A layered-index leaf: Value keys, varint positions in the block.
+    std::string payload;
+    PutFixed32(&payload, 7);  // next leaf
+    PutVarint32(&payload, 3);
+    for (const Value& v : {Value::Int(-4), Value::Str("org-17"),
+                           Value::Str("org-17")}) {
+      v.EncodeTo(&payload);
+      PutVarint32(&payload, static_cast<uint32_t>(payload.size()));
+    }
+    std::string bytes;
+    if (!EncodePage(PageType::kBTreeLeaf, payload, &bytes).ok()) exit(2);
+    WriteFile(dir, "page_value_leaf", bytes);
+  }
+  {
+    // An internal page: key count, child ids, then separators (the first
+    // keys of children 1..n).
+    std::string payload;
+    PutVarint32(&payload, 2);
+    for (uint32_t child : {3u, 4u, 5u}) PutFixed32(&payload, child);
+    Value::Str("org-05").EncodeTo(&payload);
+    Value::Str("org-12").EncodeTo(&payload);
+    std::string bytes;
+    if (!EncodePage(PageType::kBTreeInternal, payload, &bytes).ok()) exit(2);
+    WriteFile(dir, "page_internal", bytes);
+  }
+  {
     std::string bytes;
     if (!EncodePage(PageType::kBTreeInternal, std::string(kMaxPagePayload, 'i'),
                     &bytes)

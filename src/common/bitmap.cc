@@ -77,15 +77,20 @@ Bitmap& Bitmap::Or(const Bitmap& other) {
 
 std::vector<size_t> Bitmap::SetBits() const {
   std::vector<size_t> out;
-  for (size_t wi = 0; wi < words_.size(); wi++) {
-    uint64_t w = words_[wi];
+  SetBitsAnd(*this, &out);
+  return out;
+}
+
+void Bitmap::SetBitsAnd(const Bitmap& other, std::vector<size_t>* out) const {
+  out->clear();
+  const size_t n = std::min(words_.size(), other.words_.size());
+  for (size_t wi = 0; wi < n; wi++) {
+    uint64_t w = words_[wi] & other.words_[wi];
     while (w != 0) {
-      int bit = std::countr_zero(w);
-      out.push_back(wi * 64 + static_cast<size_t>(bit));
+      out->push_back(wi * 64 + static_cast<size_t>(std::countr_zero(w)));
       w &= w - 1;
     }
   }
-  return out;
 }
 
 size_t Bitmap::NextSetBit(size_t from) const {

@@ -42,6 +42,9 @@ class Bitmap {
 
   /// Positions of all set bits, ascending.
   std::vector<size_t> SetBits() const;
+  /// Positions set in both, ascending, into *out (replacing its contents):
+  /// And(other).SetBits() without the copy.
+  void SetBitsAnd(const Bitmap& other, std::vector<size_t>* out) const;
 
   /// First set bit at or after `from`, or npos.
   size_t NextSetBit(size_t from) const;

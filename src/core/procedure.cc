@@ -68,7 +68,7 @@ Status ProcedureRegistry::Invoke(SebdbNode* node, const std::string& name,
   }
   size_t offset = 0;
   for (const auto& sql : statements) {
-    size_t count;
+    size_t count = 0;
     Status s = CountParameters(sql, &count);
     if (!s.ok()) return s;
     if (offset + count > params.size()) {

@@ -91,7 +91,7 @@ Status Executor::ResolveWindow(const std::optional<TimeWindow>& window,
     }
     return Status::OK();
   };
-  Timestamp start_ts, end_ts;
+  Timestamp start_ts = 0, end_ts = 0;
   s = as_ts(start, &start_ts);
   if (!s.ok()) return s;
   s = as_ts(end, &end_ts);

@@ -73,9 +73,6 @@ bool RangesOverlap(const ValueRange& a, const ValueRange& b);
 /// intersect(b_r, b_s) for continuous join attributes (paper Alg. 2).
 bool BlocksIntersectContinuous(const LayeredIndex& ir, BlockId br,
                                const LayeredIndex& is, BlockId bs);
-/// intersect for discrete attributes: a common value occurs in both blocks.
-bool BlocksIntersectDiscrete(const LayeredIndex& ir, BlockId br,
-                             const LayeredIndex& is, BlockId bs);
 /// intersect(b_r, (lo, hi)) for the on-off join (paper Alg. 3).
 bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
                           const Value& lo, const Value& hi);

@@ -3,7 +3,6 @@
 // full scan, hash join over bitmap-filtered blocks, and layered-index
 // sort-merge over block pairs that may produce results.
 #include <algorithm>
-#include <set>
 #include <unordered_map>
 
 #include "sql/executor.h"
@@ -59,15 +58,6 @@ bool BlocksIntersectContinuous(const LayeredIndex& ir, BlockId br,
   return false;
 }
 
-bool BlocksIntersectDiscrete(const LayeredIndex& ir, BlockId br,
-                             const LayeredIndex& is, BlockId bs) {
-  for (const auto& [value, blocks] : ir.discrete_values()) {
-    if (!blocks.Test(br)) continue;
-    if (is.BlocksWithValue(value).Test(bs)) return true;
-  }
-  return false;
-}
-
 bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
                           const Value& lo, const Value& hi) {
   if (index.options().discrete) {
@@ -95,7 +85,6 @@ bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
 using sql_internal::AllBlocksBitmap;
 using sql_internal::BlockIntersectsRange;
 using sql_internal::BlocksIntersectContinuous;
-using sql_internal::BlocksIntersectDiscrete;
 using sql_internal::OffchainColumnNames;
 using sql_internal::SchemaColumnNames;
 using sql_internal::ValueEq;
@@ -320,19 +309,20 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
   // blocks. For a continuous attribute, test bucket-range overlap per pair.
   std::vector<std::pair<size_t, size_t>> pairs;
   if (discrete) {
-    std::set<std::pair<size_t, size_t>> pair_set;
+    const auto& right_values = right_index->discrete_values();
+    std::vector<size_t> lbits, rbits;
     for (const auto& [value, lblocks] : left_index->discrete_values()) {
-      Bitmap lb = lblocks;
-      lb.And(left_blocks);
-      if (!lb.AnySet()) continue;
-      Bitmap rb = right_index->BlocksWithValue(value);
-      rb.And(right_blocks);
-      if (!rb.AnySet()) continue;
-      for (size_t br : lb.SetBits()) {
-        for (size_t bs : rb.SetBits()) pair_set.insert({br, bs});
+      lblocks.SetBitsAnd(left_blocks, &lbits);
+      if (lbits.empty()) continue;
+      auto rblocks = right_values.find(value);
+      if (rblocks == right_values.end()) continue;
+      rblocks->second.SetBitsAnd(right_blocks, &rbits);
+      for (size_t br : lbits) {
+        for (size_t bs : rbits) pairs.emplace_back(br, bs);
       }
     }
-    pairs.assign(pair_set.begin(), pair_set.end());
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   } else {
     for (size_t br : left_blocks.SetBits()) {
       for (size_t bs : right_blocks.SetBits()) {
@@ -559,8 +549,10 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
     std::vector<Value> distinct;
     s = offchain_->Distinct(off_ref.name, off_col, &distinct);
     if (!s.ok()) return s;
+    const auto& on_values = on_index->discrete_values();
     for (const auto& v : distinct) {
-      candidates.Or(on_index->BlocksWithValue(v));
+      auto blocks = on_values.find(v);
+      if (blocks != on_values.end()) candidates.Or(blocks->second);
     }
   } else {
     Value smin, smax;

@@ -10,9 +10,15 @@
 // Read paths mirror BpTree: Begin / SeekGE / SeekFirstTrue (monotone
 // predicate descent — the co-monotone block-index trick works unchanged on
 // disk) / RangeScan, with a linked-leaf Iterator. Every page fault goes
-// through the buffer pool (CRC-validated, LRU-evicted); iterators decode a
-// whole leaf and release the pin immediately, so long scans never pin more
-// than one page. I/O errors surface through Iterator::status().
+// through the buffer pool (CRC-validated, LRU-evicted). Pages are parsed in
+// place, the block-iterator idiom of LevelDB/RocksDB: a descent decodes
+// separators one at a time until the predicate holds and reads that child
+// id straight out of the page, and an iterator keeps its current leaf
+// pinned and decodes one entry per Next() into a reused key/value. A
+// PageRef owns an immutable frame, so holding one is safe across eviction;
+// an iterator pins at most one page and releases it at the end. I/O and
+// decode errors surface through Iterator::status() — a truncated entry
+// when the cursor reaches it.
 //
 // Codec supplies the key/value serialization:
 //   static void EncodeKey(std::string*, const Key&);
@@ -52,47 +58,112 @@ class DiskBpTree {
   bool empty() const { return ref_.entries == 0; }
   const Ref& ref() const { return ref_; }
 
+  // Page payloads, parsed in place (also by the page-decode fuzzer — a
+  // payload crosses the same trust boundary as its page image):
+  //   leaf:     fixed32 next leaf | varint32 count | count x (key, value)
+  //   internal: varint32 nkeys | (nkeys + 1) x fixed32 child id |
+  //             nkeys x separator key (the first key of children 1..nkeys)
+
+  /// Reads a leaf header, leaving *in at the first entry.
+  static bool ParseLeafHeader(Slice* in, PageId* next, uint32_t* count) {
+    return GetFixed32(in, next) && GetVarint32(in, count);
+  }
+
+  /// One descent step: the child of internal payload `in` left of its first
+  /// separator where pred holds (the last child if none does). Separators
+  /// are decoded one at a time into *sep, and the child id is read straight
+  /// out of the child array.
+  template <typename Pred>
+  static Status ChildOf(Slice in, const Pred& pred, Key* sep, PageId* child) {
+    uint32_t nkeys;
+    if (!GetVarint32(&in, &nkeys)) {
+      return Status::Corruption("truncated internal page header");
+    }
+    if (in.size() / 4 <= nkeys) {
+      return Status::Corruption("truncated child pointer");
+    }
+    const char* children = in.data();
+    in.remove_prefix((size_t{nkeys} + 1) * 4);
+    uint32_t i = 0;
+    for (; i < nkeys; i++) {
+      if (!Codec::DecodeKey(&in, sep)) {
+        return Status::Corruption("truncated separator key");
+      }
+      if (pred(*sep)) break;
+    }
+    *child = DecodeFixed32(children + 4 * size_t{i});
+    return Status::OK();
+  }
+
   class Iterator {
    public:
     Iterator() = default;
-    bool Valid() const { return pos_ < entries_.size(); }
-    const Key& key() const { return entries_[pos_].first; }
-    const Val& value() const { return entries_[pos_].second; }
+    bool Valid() const { return valid_; }
+    const Key& key() const { return key_; }
+    const Val& value() const { return val_; }
     /// OK while iterating and at a clean end; an I/O or decode error
     /// invalidates the iterator and is reported here.
     const Status& status() const { return status_; }
 
     void Next() {
-      if (!Valid()) return;
-      if (++pos_ < entries_.size()) return;
-      AdvanceLeaf();
+      if (valid_) Advance();
     }
 
    private:
     friend class DiskBpTree;
-    Iterator(const DiskBpTree* tree) : tree_(tree) {}
+    Iterator(BufferManager* pool, BufferManager::FileId file)
+        : pool_(pool), file_(file) {}
 
-    // Loads leaves (skipping empty ones) until entries arrive or the chain
-    // ends; clears state on error.
-    void AdvanceLeaf() {
-      entries_.clear();
-      pos_ = 0;
-      while (next_ != kInvalidPageId) {
-        PageId pid = next_;
-        status_ = tree_->LoadLeaf(pid, &entries_, &next_);
-        if (!status_.ok()) {
-          entries_.clear();
-          next_ = kInvalidPageId;
-          return;
-        }
-        if (!entries_.empty()) return;
+    // Makes `page` the current leaf, with the cursor before its first entry.
+    Status EnterLeaf(BufferManager::PageRef page) {
+      if (page.type() != PageType::kBTreeLeaf) {
+        return Status::Corruption("expected a leaf page");
       }
+      cursor_ = page.payload();
+      if (!ParseLeafHeader(&cursor_, &next_, &left_)) {
+        return Status::Corruption("truncated leaf page header");
+      }
+      page_ = std::move(page);
+      return Status::OK();
     }
 
-    const DiskBpTree* tree_ = nullptr;
-    std::vector<std::pair<Key, Val>> entries_;
-    size_t pos_ = 0;
+    // Decodes the entry under the cursor, following the leaf chain (and
+    // skipping empty leaves) once the current leaf is used up.
+    void Advance() {
+      while (left_ == 0) {
+        if (next_ == kInvalidPageId) return Stop(Status::OK());
+        page_.Release();
+        BufferManager::PageRef page;
+        Status s = pool_->Pin(file_, next_, &page);
+        if (s.ok()) s = EnterLeaf(std::move(page));
+        if (!s.ok()) return Stop(std::move(s));
+      }
+      if (!Codec::DecodeKey(&cursor_, &key_) ||
+          !Codec::DecodeVal(&cursor_, &val_)) {
+        return Stop(Status::Corruption("truncated leaf entry"));
+      }
+      left_--;
+      valid_ = true;
+    }
+
+    // Ends the iteration with `s` and drops the pin.
+    void Stop(Status s) {
+      valid_ = false;
+      left_ = 0;
+      next_ = kInvalidPageId;
+      page_.Release();
+      status_ = std::move(s);
+    }
+
+    BufferManager* pool_ = nullptr;
+    BufferManager::FileId file_ = BufferManager::kInvalidFileId;
+    BufferManager::PageRef page_;  // current leaf; cursor_ points into it
+    Slice cursor_;
+    uint32_t left_ = 0;  // entries of the current leaf not yet decoded
     PageId next_ = kInvalidPageId;
+    Key key_{};
+    Val val_{};
+    bool valid_ = false;
     Status status_;
   };
 
@@ -110,47 +181,30 @@ class DiskBpTree {
 
   /// First entry where pred(key) is true; pred must be monotone (false
   /// prefix, then true) over the key order.
-  Iterator SeekFirstTrue(const std::function<bool(const Key&)>& pred) const {
-    Iterator it(this);
+  template <typename Pred>
+  Iterator SeekFirstTrue(const Pred& pred) const {
+    Iterator it(pool_, ref_.file);
     if (ref_.root == kInvalidPageId) return it;
-    PageId pid = ref_.root;
-    std::vector<Key> keys;
-    std::vector<PageId> children;
-    for (;;) {
-      bool is_leaf = false;
-      it.status_ = LoadNode(pid, &keys, &children, &it.entries_, &it.next_,
-                            &is_leaf);
-      if (!it.status_.ok()) {
-        it.entries_.clear();
+    Key sep{};
+    Status s;
+    for (PageId pid = ref_.root; s.ok();) {
+      BufferManager::PageRef page;
+      s = pool_->Pin(ref_.file, pid, &page);
+      if (!s.ok()) break;
+      if (page.type() == PageType::kBTreeLeaf) {
+        s = it.EnterLeaf(std::move(page));
+        if (!s.ok()) break;
+        // The first true key is in this leaf or, for a monotone pred,
+        // starts the next one.
+        for (it.Advance(); it.Valid() && !pred(it.key()); it.Advance()) {
+        }
         return it;
       }
-      if (is_leaf) break;
-      // First separator where pred holds: descend left of it.
-      size_t lo = 0, hi = keys.size();
-      while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (pred(keys[mid])) hi = mid;
-        else lo = mid + 1;
-      }
-      pid = children[lo];
+      s = page.type() == PageType::kBTreeInternal
+              ? ChildOf(page.payload(), pred, &sep, &pid)
+              : Status::Corruption("unexpected page type in tree");
     }
-    size_t lo = 0, hi = it.entries_.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (pred(it.entries_[mid].first)) hi = mid;
-      else lo = mid + 1;
-    }
-    if (lo < it.entries_.size()) {
-      it.pos_ = lo;
-      return it;
-    }
-    // The first true key, if any, starts the next leaf.
-    it.AdvanceLeaf();
-    if (it.Valid() && !pred(it.key())) {
-      it.entries_.clear();
-      it.pos_ = 0;
-      it.next_ = kInvalidPageId;
-    }
+    it.Stop(std::move(s));
     return it;
   }
 
@@ -169,76 +223,6 @@ class DiskBpTree {
   }
 
  private:
-  friend class Iterator;
-
-  Status LoadLeaf(PageId pid, std::vector<std::pair<Key, Val>>* entries,
-                  PageId* next) const {
-    std::vector<Key> keys;
-    std::vector<PageId> children;
-    bool is_leaf = false;
-    Status s = LoadNode(pid, &keys, &children, entries, next, &is_leaf);
-    if (s.ok() && !is_leaf) {
-      return Status::Corruption("expected a leaf page");
-    }
-    return s;
-  }
-
-  Status LoadNode(PageId pid, std::vector<Key>* keys,
-                  std::vector<PageId>* children,
-                  std::vector<std::pair<Key, Val>>* entries, PageId* next,
-                  bool* is_leaf) const {
-    BufferManager::PageRef ref;
-    Status s = pool_->Pin(ref_.file, pid, &ref);
-    if (!s.ok()) return s;
-    Slice in = ref.payload();
-    if (ref.type() == PageType::kBTreeLeaf) {
-      *is_leaf = true;
-      entries->clear();
-      uint32_t next_pid, count;
-      if (!GetFixed32(&in, &next_pid) || !GetVarint32(&in, &count)) {
-        return Status::Corruption("truncated leaf page header");
-      }
-      *next = next_pid;
-      entries->reserve(count);
-      for (uint32_t i = 0; i < count; i++) {
-        Key k;
-        Val v;
-        if (!Codec::DecodeKey(&in, &k) || !Codec::DecodeVal(&in, &v)) {
-          return Status::Corruption("truncated leaf entry");
-        }
-        entries->emplace_back(std::move(k), std::move(v));
-      }
-      return Status::OK();
-    }
-    if (ref.type() != PageType::kBTreeInternal) {
-      return Status::Corruption("unexpected page type in tree");
-    }
-    *is_leaf = false;
-    keys->clear();
-    children->clear();
-    uint32_t nkeys;
-    if (!GetVarint32(&in, &nkeys)) {
-      return Status::Corruption("truncated internal page header");
-    }
-    children->reserve(nkeys + 1);
-    for (uint32_t i = 0; i <= nkeys; i++) {
-      uint32_t child;
-      if (!GetFixed32(&in, &child)) {
-        return Status::Corruption("truncated child pointer");
-      }
-      children->push_back(child);
-    }
-    keys->reserve(nkeys);
-    for (uint32_t i = 0; i < nkeys; i++) {
-      Key k;
-      if (!Codec::DecodeKey(&in, &k)) {
-        return Status::Corruption("truncated separator key");
-      }
-      keys->push_back(std::move(k));
-    }
-    return Status::OK();
-  }
-
   BufferManager* pool_ = nullptr;
   Ref ref_;
   Cmp cmp_{};

@@ -206,49 +206,56 @@ void Value::EncodeTo(std::string* dst) const {
   }
 }
 
+// Assigns into *out's variant in place (no temporary Value), so a Value
+// reused across decodes — a disk-tree iterator's key — keeps its string
+// buffer.
 bool Value::DecodeFrom(Slice* input, Value* out) {
   if (input->empty()) return false;
   auto t = static_cast<ValueType>((*input)[0]);
   input->remove_prefix(1);
   switch (t) {
     case ValueType::kNull:
-      *out = Value::Null();
+      out->v_.emplace<std::monostate>();
       return true;
     case ValueType::kBool: {
       if (input->empty()) return false;
       bool b = (*input)[0] != 0;
       input->remove_prefix(1);
-      *out = Value::Bool(b);
+      out->v_.emplace<bool>(b);
       return true;
     }
     case ValueType::kInt64: {
       int64_t v;
       if (!GetVarSigned64(input, &v)) return false;
-      *out = Value::Int(v);
+      out->v_.emplace<int64_t>(v);
       return true;
     }
     case ValueType::kDouble: {
       uint64_t u;
       if (!GetFixed64(input, &u)) return false;
-      *out = Value::Double(std::bit_cast<double>(u));
+      out->v_.emplace<double>(std::bit_cast<double>(u));
       return true;
     }
     case ValueType::kDecimal: {
       int64_t v;
       if (!GetVarSigned64(input, &v)) return false;
-      *out = Value::Dec(Decimal{v});
+      out->v_.emplace<Decimal>(Decimal{v});
       return true;
     }
     case ValueType::kString: {
       Slice s;
       if (!GetLengthPrefixed(input, &s)) return false;
-      *out = Value::Str(s.ToString());
+      if (auto* str = std::get_if<std::string>(&out->v_)) {
+        str->assign(s.data(), s.size());
+      } else {
+        out->v_.emplace<std::string>(s.data(), s.size());
+      }
       return true;
     }
     case ValueType::kTimestamp: {
       int64_t v;
       if (!GetVarSigned64(input, &v)) return false;
-      *out = Value::Ts(v);
+      out->v_.emplace<TsRepr>(TsRepr{v});
       return true;
     }
   }

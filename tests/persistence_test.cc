@@ -448,6 +448,154 @@ TEST(DiskBpTreeTest, MultipleTreesShareAFileAndSurviveTinyPool) {
   EXPECT_LE(pool.stats().usage, 2 * kPageSize);
 }
 
+TEST(DiskBpTreeTest, LeafCountPastPayloadIsCorruption) {
+  ScratchDir dir("tree_short_leaf");
+  BufferManager pool = MakePool(1 << 20);
+  BufferManager::FileId file;
+  ASSERT_TRUE(pool.CreateFile(dir.path() + "/tree", &file).ok());
+  // A CRC-valid leaf that claims five entries but holds two.
+  std::string payload;
+  PutFixed32(&payload, kInvalidPageId);
+  PutVarint32(&payload, 5);
+  for (uint64_t k : {10u, 20u}) {
+    U64Codec::EncodeKey(&payload, k);
+    U64Codec::EncodeVal(&payload, "v" + std::to_string(k));
+  }
+  PageId leaf;
+  ASSERT_TRUE(
+      pool.AppendPage(file, PageType::kBTreeLeaf, payload, &leaf).ok());
+  ASSERT_TRUE(pool.Flush(file).ok());
+  U64Tree tree(&pool, {file, leaf, 5});
+
+  // The entries before the cut decode; the cursor then hits the end of the
+  // payload and the iterator ends with Corruption.
+  auto it = tree.Begin();
+  std::vector<uint64_t> keys;
+  for (; it.Valid(); it.Next()) keys.push_back(it.key());
+  EXPECT_EQ(keys, (std::vector<uint64_t>{10, 20}));
+  EXPECT_TRUE(it.status().IsCorruption()) << it.status().ToString();
+
+  auto past = tree.SeekGE(21);
+  EXPECT_FALSE(past.Valid());
+  EXPECT_TRUE(past.status().IsCorruption()) << past.status().ToString();
+
+  std::vector<std::string> got;
+  Status s;
+  tree.RangeScan(0, 100, &got, &s);
+  EXPECT_TRUE(s.IsCorruption());
+  EXPECT_EQ(pool.stats().pinned, 0u);
+}
+
+TEST(DiskBpTreeTest, SeekFindsFirstDuplicateAcrossLeafBoundary) {
+  ScratchDir dir("tree_dups");
+  BufferManager pool = MakePool(1 << 20);
+  BufferManager::FileId file;
+  ASSERT_TRUE(pool.CreateFile(dir.path() + "/tree", &file).ok());
+  // Key 7 repeats 300 times (~40-byte values), so its run starts in the
+  // first leaf and spans several more; every separator inside the run
+  // equals 7.
+  U64Builder builder(&pool, file);
+  for (uint64_t k = 0; k < 7; k++) {
+    ASSERT_TRUE(builder.Add(k, "low-" + std::to_string(k)).ok());
+  }
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(
+        builder.Add(7, "dup-" + std::to_string(i) + std::string(32, 'd'))
+            .ok());
+  }
+  ASSERT_TRUE(builder.Add(8, "high").ok());
+  U64Tree::Ref ref;
+  ASSERT_TRUE(builder.Finish(&ref).ok());
+  ASSERT_TRUE(pool.Flush(file).ok());
+  ASSERT_GT(pool.file_pages(file), 4u);  // several leaves plus a root
+
+  U64Tree tree(&pool, ref);
+  auto it = tree.SeekGE(7);
+  for (int i = 0; i < 300; i++, it.Next()) {
+    ASSERT_TRUE(it.Valid()) << "duplicate " << i;
+    ASSERT_EQ(it.key(), 7u);
+    ASSERT_EQ(it.value(), "dup-" + std::to_string(i) + std::string(32, 'd'));
+  }
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.value(), "high");
+
+  auto gt = tree.SeekGT(7);
+  ASSERT_TRUE(gt.Valid());
+  EXPECT_EQ(gt.key(), 8u);
+  auto lt = tree.SeekGE(6);
+  ASSERT_TRUE(lt.Valid());
+  EXPECT_EQ(lt.value(), "low-6");
+}
+
+TEST(DiskBpTreeTest, ConcurrentScansThroughTinyPoolReleaseEveryPin) {
+  ScratchDir dir("tree_concurrent");
+  const std::string path = dir.path() + "/trees";
+  auto value_of = [](uint64_t t, uint64_t k) {
+    return std::to_string(t * 1000 + k) + std::string(16, 'v');
+  };
+  // The trees of MultipleTreesShareAFileAndSurviveTinyPool.
+  std::vector<U64Tree::Ref> refs;
+  {
+    BufferManager pool = MakePool(1 << 20);
+    BufferManager::FileId file;
+    ASSERT_TRUE(pool.CreateFile(path, &file).ok());
+    for (uint64_t t = 0; t < 5; t++) {
+      U64Builder builder(&pool, file);
+      for (uint64_t k = 0; k < 300; k++) {
+        ASSERT_TRUE(builder.Add(k, value_of(t, k)).ok());
+      }
+      U64Tree::Ref ref;
+      ASSERT_TRUE(builder.Finish(&ref).ok());
+      refs.push_back(ref);
+    }
+    ASSERT_TRUE(pool.Flush(file).ok());
+  }
+
+  BufferManager pool = MakePool(2 * kPageSize);
+  BufferManager::FileId file;
+  ASSERT_TRUE(pool.OpenFile(path, &file).ok());
+  for (auto& ref : refs) ref.file = file;
+  {
+    // A live iterator pins exactly its current leaf.
+    U64Tree tree(&pool, refs[0]);
+    auto it = tree.SeekGE(150);
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(pool.stats().pinned, 1u);
+  }
+  EXPECT_EQ(pool.stats().pinned, 0u);
+
+  // Each thread fully scans every tree and seeks into it; a mismatch or an
+  // error counts as a failure.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; w++) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < 5; round++) {
+        for (uint64_t t = 0; t < refs.size(); t++) {
+          const uint64_t tid = (t + w) % refs.size();
+          U64Tree tree(&pool, refs[tid]);
+          uint64_t k = 0;
+          auto it = tree.Begin();
+          for (; it.Valid(); it.Next(), k++) {
+            if (it.key() != k || it.value() != value_of(tid, k)) failures++;
+          }
+          if (!it.status().ok() || k != 300) failures++;
+          uint64_t target = (w * 37 + round * 61 + t) % 300;
+          auto seek = tree.SeekGE(target);
+          if (!seek.Valid() || seek.key() != target ||
+              seek.value() != value_of(tid, target)) {
+            failures++;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(pool.stats().pinned, 0u);
+  EXPECT_LE(pool.stats().usage, 2 * kPageSize);
+}
+
 // --- checkpoint manifest protocol ---
 
 // Writes a valid page file of `pages` blob pages directly through a pool.
