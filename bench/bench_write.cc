@@ -56,6 +56,16 @@ RunResult RunCluster(ConsensusKind kind, int num_clients, int txns_per_client,
     abort();
   }
 
+  // CREATE returns once n0 has applied it; the other nodes apply the same
+  // block on their own delivery threads. A client that reaches a node still
+  // behind would find no table, so wait for every node first.
+  const uint64_t created = nodes[0]->chain().height();
+  for (auto& node : nodes) {
+    while (node->chain().height() < created) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
   std::atomic<int64_t> total_latency_micros{0};
   std::atomic<int> completed{0};
   WallTimer timer;

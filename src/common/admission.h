@@ -1,6 +1,6 @@
 // Bounded admission control for the write path (DESIGN.md §"Overload and
-// admission contract"). Every consensus ingress queue — the Tendermint/PBFT
-// mempools and the Kafka orderer's pending queue — charges transactions
+// admission contract"). Every consensus ingress queue — the Tendermint
+// mempool and the Kafka orderer's pending queue — charges transactions
 // against an AdmissionController before enqueueing them, so a saturated node
 // sheds load with a structured ResourceExhausted (carrying a retry_after
 // hint) instead of growing without bound.

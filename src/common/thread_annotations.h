@@ -1,11 +1,12 @@
 // Clang Thread Safety Analysis annotations plus the project's annotated
 // locking primitives. All mutex-guarded classes in src/ use Mutex /
-// MutexLock / CondVar from this header instead of the raw <mutex> types so
-// that the `clang-thread-safety` preset (-Wthread-safety -Werror) can prove
-// the locking discipline at compile time: every GUARDED_BY member access
-// outside its mutex, every REQUIRES violation, and every unbalanced
-// Lock/Unlock becomes a build error under clang. Under GCC the macros
-// expand to nothing and the wrappers compile down to the std types.
+// MutexLock / CondVar / SharedMutex from this header instead of the raw
+// <mutex> types so that the `clang-thread-safety` preset (-Wthread-safety
+// -Werror) can prove the locking discipline at compile time: every
+// GUARDED_BY member access outside its mutex, every REQUIRES violation, and
+// every unbalanced Lock/Unlock becomes a build error under clang. Under GCC
+// the macros expand to nothing and the wrappers compile down to the std
+// types.
 //
 // Conventions (see DESIGN.md §"Static analysis & locking discipline"):
 //   - members protected by mu_ are declared GUARDED_BY(mu_);
@@ -83,6 +84,80 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
+};
+
+/// Annotated reader/writer lock, writer-preferring: once a writer waits,
+/// new readers queue behind it, so a steady stream of readers cannot starve
+/// it. Not reentrant in either mode — a thread must never take it while it
+/// already holds it (a shared re-acquire deadlocks behind a waiting writer).
+class CAPABILITY("mutex") SharedMutex {
+ public:
+  SharedMutex() = default;
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() ACQUIRE() {
+    std::unique_lock<std::mutex> lock(mu_);
+    writers_waiting_++;
+    cv_.wait(lock, [this] { return !writer_ && readers_ == 0; });
+    writers_waiting_--;
+    writer_ = true;
+  }
+  void Unlock() RELEASE() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      writer_ = false;
+    }
+    cv_.notify_all();
+  }
+  void LockShared() ACQUIRE_SHARED() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !writer_ && writers_waiting_ == 0; });
+    readers_++;
+  }
+  void UnlockShared() RELEASE_SHARED() {
+    bool last;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      last = --readers_ == 0;
+    }
+    if (last) cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int readers_ = 0;
+  int writers_waiting_ = 0;
+  bool writer_ = false;
+};
+
+/// RAII exclusive hold of a SharedMutex.
+class SCOPED_CAPABILITY WriterMutexLock {
+ public:
+  explicit WriterMutexLock(SharedMutex* mu) ACQUIRE(mu) : mu_(mu) {
+    mu_->Lock();
+  }
+  WriterMutexLock(const WriterMutexLock&) = delete;
+  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
+  ~WriterMutexLock() RELEASE() { mu_->Unlock(); }
+
+ private:
+  SharedMutex* const mu_;
+};
+
+/// RAII shared hold of a SharedMutex.
+class SCOPED_CAPABILITY ReaderMutexLock {
+ public:
+  explicit ReaderMutexLock(SharedMutex* mu) ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_->LockShared();
+  }
+  ReaderMutexLock(const ReaderMutexLock&) = delete;
+  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
+  ~ReaderMutexLock() RELEASE() { mu_->UnlockShared(); }
+
+ private:
+  SharedMutex* const mu_;
 };
 
 /// Condition variable paired with Mutex. Every wait requires the mutex held

@@ -1,6 +1,6 @@
 // Pluggable consensus (paper §III-B: "SEBDB uses plug-in pattern, allowing
 // users to select different consensus protocol"; the evaluation runs KAFKA
-// and Tendermint, and PBFT is supported). An engine ingests client
+// and Tendermint, the two engines built here). An engine ingests client
 // transactions, agrees on an order, cuts batches (by size or timeout — the
 // write benchmark sets 200 transactions / 200 ms), and delivers committed
 // batches to the node in strict sequence order. The node turns each batch
@@ -81,7 +81,7 @@ class ConsensusEngine {
 /// Wire helpers shared by the engines.
 void EncodeBatch(const std::vector<Transaction>& txns, std::string* dst);
 Status DecodeBatch(Slice* input, std::vector<Transaction>* out);
-/// Content digest used by PBFT/Tendermint votes.
+/// Content digest used by Tendermint votes.
 Hash256 BatchDigest(const std::string& encoded_batch);
 
 }  // namespace sebdb

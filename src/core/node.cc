@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "consensus/kafka_orderer.h"
-#include "consensus/pbft.h"
 #include "consensus/tendermint.h"
 #include "common/coding.h"
 #include "core/thin_client_transport.h"
@@ -159,11 +158,6 @@ Status SebdbNode::Start(Network* network) {
             consensus_options, commit);
         break;
       }
-      case ConsensusKind::kPbft:
-        engine_ = std::make_unique<PbftEngine>(
-            options_.node_id, options_.participants, network_,
-            consensus_options, commit);
-        break;
       case ConsensusKind::kTendermint:
         engine_ = std::make_unique<TendermintEngine>(
             options_.node_id, options_.participants, network_,
@@ -325,8 +319,6 @@ void SebdbNode::OnMessage(const Message& message) {
   if (engine_ == nullptr) return;
   if (message.type.rfind("kafka.", 0) == 0) {
     static_cast<KafkaOrderer*>(engine_.get())->HandleMessage(message);
-  } else if (message.type.rfind("pbft.", 0) == 0) {
-    static_cast<PbftEngine*>(engine_.get())->HandleMessage(message);
   } else if (message.type.rfind("tm.", 0) == 0) {
     static_cast<TendermintEngine*>(engine_.get())->HandleMessage(message);
   }
@@ -722,15 +714,16 @@ Status SebdbNode::GetRawBlock(BlockId height, std::string* record) {
   return chain_.GetBlockRecord(height, record);
 }
 
-AuthenticatedLayeredIndex* SebdbNode::FindAli(const std::string& table,
-                                              const std::string& column) {
-  return chain_.indexes()->GetAli(table, column);
-}
+// Each prove/digest holds the index set's apply lock shared for its whole
+// run, so the ALI root list and the layered index it reads cannot grow
+// underneath it (DESIGN.md §9).
 
 Status SebdbNode::AuthProveRange(const std::string& table,
                                  const std::string& column, const Value* lo,
                                  const Value* hi, AuthQueryResponse* out) {
-  AuthenticatedLayeredIndex* ali = FindAli(table, column);
+  IndexSet* indexes = chain_.indexes();
+  ReaderMutexLock read(indexes->apply_mutex());
+  AuthenticatedLayeredIndex* ali = indexes->GetAli(table, column);
   if (ali == nullptr) {
     return Status::NotFound("no authenticated index on " + table + "." +
                             column);
@@ -742,7 +735,9 @@ Status SebdbNode::AuthDigestRange(const std::string& table,
                                   const std::string& column, const Value* lo,
                                   const Value* hi, uint64_t height,
                                   Hash256* digest) {
-  AuthenticatedLayeredIndex* ali = FindAli(table, column);
+  IndexSet* indexes = chain_.indexes();
+  ReaderMutexLock read(indexes->apply_mutex());
+  AuthenticatedLayeredIndex* ali = indexes->GetAli(table, column);
   if (ali == nullptr) {
     return Status::NotFound("no authenticated index on " + table + "." +
                             column);
@@ -754,14 +749,14 @@ Status SebdbNode::AuthProveTrace(bool by_sender, const std::string& key,
                                  AuthQueryResponse* out,
                                  const Timestamp* window_start,
                                  const Timestamp* window_end) {
-  AuthenticatedLayeredIndex* ali = by_sender
-                                       ? chain_.indexes()->senid_ali()
-                                       : chain_.indexes()->tname_ali();
+  IndexSet* indexes = chain_.indexes();
+  ReaderMutexLock read(indexes->apply_mutex());
+  AuthenticatedLayeredIndex* ali =
+      by_sender ? indexes->senid_ali() : indexes->tname_ali();
   Value v = Value::Str(key);
   std::optional<Bitmap> window;
   if (window_start != nullptr && window_end != nullptr) {
-    window = chain_.indexes()->block_index().BlocksInWindow(*window_start,
-                                                            *window_end);
+    window = indexes->block_index().BlocksInWindow(*window_start, *window_end);
   }
   return ali->ProveRange(&v, &v, window.has_value() ? &*window : nullptr,
                          ali->num_blocks(), out);
@@ -771,14 +766,14 @@ Status SebdbNode::AuthDigestTrace(bool by_sender, const std::string& key,
                                   uint64_t height, Hash256* digest,
                                   const Timestamp* window_start,
                                   const Timestamp* window_end) {
-  AuthenticatedLayeredIndex* ali = by_sender
-                                       ? chain_.indexes()->senid_ali()
-                                       : chain_.indexes()->tname_ali();
+  IndexSet* indexes = chain_.indexes();
+  ReaderMutexLock read(indexes->apply_mutex());
+  AuthenticatedLayeredIndex* ali =
+      by_sender ? indexes->senid_ali() : indexes->tname_ali();
   Value v = Value::Str(key);
   std::optional<Bitmap> window;
   if (window_start != nullptr && window_end != nullptr) {
-    window = chain_.indexes()->block_index().BlocksInWindow(*window_start,
-                                                            *window_end);
+    window = indexes->block_index().BlocksInWindow(*window_start, *window_end);
   }
   return ali->ComputeDigest(&v, &v, window.has_value() ? &*window : nullptr,
                             height, digest);

@@ -24,7 +24,7 @@
 
 namespace sebdb {
 
-enum class ConsensusKind { kKafka, kPbft, kTendermint };
+enum class ConsensusKind { kKafka, kTendermint };
 
 /// Chain options a full node defaults to (tests construct ChainOptions
 /// directly and opt in per-feature): LRU caches on, and the process-wide
@@ -170,8 +170,6 @@ class SebdbNode : public GossipDelegate {
   Status ExecInsert(const InsertStmt& stmt, const ExecOptions& options,
                     ResultSet* result);
   Status ExecCreateTable(const CreateTableStmt& stmt, ResultSet* result);
-  AuthenticatedLayeredIndex* FindAli(const std::string& table,
-                                     const std::string& column);
 
   NodeOptions options_;
   KeyStore* keystore_;

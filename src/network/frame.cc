@@ -16,8 +16,8 @@ bool IsAllowedMessageType(std::string_view type) {
       return false;
     }
   }
-  static constexpr std::array<std::string_view, 8> kPrefixes = {
-      "gossip.", "repair.", "rpc.", "thin.", "kafka.", "pbft.", "tm.", "net."};
+  static constexpr std::array<std::string_view, 7> kPrefixes = {
+      "gossip.", "repair.", "rpc.", "thin.", "kafka.", "tm.", "net."};
   for (std::string_view prefix : kPrefixes) {
     if (type.size() > prefix.size() && type.substr(0, prefix.size()) == prefix) {
       return true;

@@ -40,8 +40,8 @@ struct FrameHeader {
 };
 
 /// True iff `type` starts with one of the protocol prefixes this codebase
-/// speaks ("gossip.", "repair.", "rpc.", "thin.", "kafka.", "pbft.", "tm.",
-/// "net.") and is short enough to be a real type tag. The transport drops
+/// speaks ("gossip.", "repair.", "rpc.", "thin.", "kafka.", "tm.", "net.")
+/// and is short enough to be a real type tag. The transport drops
 /// anything else before it reaches a handler.
 bool IsAllowedMessageType(std::string_view type);
 

@@ -1,5 +1,5 @@
 // Wire message for the simulated network. `type` routes to a protocol
-// handler ("pbft.prepare", "gossip.digest", "orderer.submit", ...); payload
+// handler ("tm.prevote", "gossip.digest", "kafka.submit", ...); payload
 // is the protocol-specific serialized body.
 #pragma once
 

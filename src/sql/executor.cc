@@ -33,6 +33,14 @@ Status Executor::Execute(const Statement& stmt, const ExecOptions& options,
   result->rows.clear();
   result->plan.clear();
 
+  if (const auto* create_index = std::get_if<CreateIndexStmt>(&stmt.node)) {
+    // DDL: CreateLayeredIndex takes the apply lock exclusive itself.
+    return ExecCreateIndex(*create_index, /*explain_only=*/false, result);
+  }
+  // Every other statement only reads the indexes: one shared hold of the
+  // apply lock for the whole statement keeps a concurrent block apply from
+  // growing the bitmaps, trees and root lists the plan walks (DESIGN.md §9).
+  ReaderMutexLock read(indexes_->apply_mutex());
   if (const auto* explain = std::get_if<ExplainStmt>(&stmt.node)) {
     // Plan the inner statement without running it.
     if (const auto* select = std::get_if<SelectStmt>(&explain->inner->node)) {
@@ -54,9 +62,6 @@ Status Executor::Execute(const Statement& stmt, const ExecOptions& options,
   }
   if (const auto* get = std::get_if<GetBlockStmt>(&stmt.node)) {
     return ExecGetBlock(*get, options, /*explain_only=*/false, result);
-  }
-  if (const auto* create_index = std::get_if<CreateIndexStmt>(&stmt.node)) {
-    return ExecCreateIndex(*create_index, /*explain_only=*/false, result);
   }
   return Status::NotSupported(
       "CREATE TABLE and INSERT are write statements; submit them through a "

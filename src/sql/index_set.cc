@@ -115,6 +115,7 @@ Status IndexSet::AppendManifest(const std::string& table,
 }
 
 Status IndexSet::ApplyBlock(const Block& block, ThreadPool* pool) {
+  WriterMutexLock apply(&apply_mu_);
   MutexLock lock(&mu_);
   if (block.height() != num_blocks_) {
     return Status::InvalidArgument("index set blocks must arrive in order");
@@ -222,6 +223,7 @@ uint64_t IndexSet::num_blocks() const {
 Status IndexSet::CreateLayeredIndex(const std::string& table,
                                     const std::string& column,
                                     int schema_column_index, bool discrete) {
+  WriterMutexLock apply(&apply_mu_);
   MutexLock lock(&mu_);
   Status s = CreateLayeredIndexLocked(table, column, schema_column_index,
                                       discrete, /*recorded=*/nullptr);
@@ -489,6 +491,7 @@ Status IndexSet::WriteCheckpoint(BufferManager* pool, const std::string& dir,
 void IndexSet::AdoptCheckpoint(BufferManager* pool,
                                const PendingIndexCheckpoint& pending) {
   using Delta = PendingIndexCheckpoint::Delta;
+  WriterMutexLock apply(&apply_mu_);
   MutexLock lock(&mu_);
   for (const auto& d : pending.deltas) {
     switch (d.target) {
@@ -546,6 +549,7 @@ Status IndexSet::OpenDeltaFiles(BufferManager* pool, const std::string& dir,
 Status IndexSet::RestoreCheckpoint(BufferManager* pool,
                                    const std::string& dir, uint64_t height,
                                    Slice meta) {
+  WriterMutexLock apply(&apply_mu_);
   MutexLock lock(&mu_);
   if (num_blocks_ != 0) {
     return Status::InvalidArgument("restore requires a fresh index set");

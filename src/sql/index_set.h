@@ -88,7 +88,19 @@ class IndexSet {
   /// pool. The merge is deterministic, so bitmaps, trees, MB roots and
   /// histograms are byte-identical for any pool size — a nullptr pool runs
   /// the same code serially.
-  Status ApplyBlock(const Block& block, ThreadPool* pool) EXCLUDES(mu_);
+  Status ApplyBlock(const Block& block, ThreadPool* pool)
+      EXCLUDES(apply_mu_, mu_);
+
+  /// The apply lock (DESIGN.md §9). Index contents change only while it is
+  /// held exclusive — ApplyBlock, AdoptCheckpoint, RestoreCheckpoint and
+  /// CreateLayeredIndex take it so themselves — and a reader holds it shared
+  /// once around one whole read: an Executor read statement, or one ALI
+  /// prove or digest. Never per block probe (a range query probes thousands
+  /// of blocks), never twice on one thread (a shared re-acquire deadlocks
+  /// behind a waiting apply), and never around CREATE INDEX.
+  SharedMutex* apply_mutex() const RETURN_CAPABILITY(apply_mu_) {
+    return &apply_mu_;
+  }
 
   uint64_t num_blocks() const;
 
@@ -110,7 +122,8 @@ class IndexSet {
   /// registers nothing.
   Status CreateLayeredIndex(const std::string& table,
                             const std::string& column,
-                            int schema_column_index, bool discrete);
+                            int schema_column_index, bool discrete)
+      EXCLUDES(apply_mu_, mu_);
 
   /// nullptr when no such index exists.
   LayeredIndex* GetLayered(const std::string& table,
@@ -137,7 +150,8 @@ class IndexSet {
   /// drops the now-frozen blocks' in-memory layered trees (the block index
   /// keeps its cheap in-memory tail).
   void AdoptCheckpoint(BufferManager* pool,
-                       const PendingIndexCheckpoint& pending) EXCLUDES(mu_);
+                       const PendingIndexCheckpoint& pending)
+      EXCLUDES(apply_mu_, mu_);
 
   /// Abort path for a failed publish: drops the staged files from the pool.
   /// The orphaned on-disk files are garbage-collected at the next
@@ -153,7 +167,8 @@ class IndexSet {
   /// [0, height). Any error leaves the set unusable — the caller falls back
   /// to a fresh IndexSet and full replay.
   Status RestoreCheckpoint(BufferManager* pool, const std::string& dir,
-                           uint64_t height, Slice meta) EXCLUDES(mu_);
+                           uint64_t height, Slice meta)
+      EXCLUDES(apply_mu_, mu_);
 
  private:
   struct UserIndex {
@@ -192,6 +207,8 @@ class IndexSet {
   BlockStore* store_;
   IndexSetOptions options_;
 
+  // Taken before mu_ by every thread that takes both.
+  mutable SharedMutex apply_mu_ ACQUIRED_BEFORE(mu_);
   mutable Mutex mu_;
   // The index structures are pointer-stable: accessors hand out raw
   // pointers (senid_index() & co), so only the containers and counters —

@@ -10,6 +10,8 @@
 //   - LayeredIndex::Tree() and AuthenticatedLayeredIndex::Tree() created
 //     their tree caches lazily inside const methods, racing concurrent
 //     readers of a restored index.
+//   - SQL read statements and ALI proves/digests walked the layered
+//     indexes and ALI root lists while IndexSet::ApplyBlock grew them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 
 #include "common/coding.h"
 #include "core/chain_manager.h"
+#include "core/node.h"
 #include "network/gossip.h"
 #include "network/sim_network.h"
 #include "storage/block.h"
@@ -234,6 +237,89 @@ TEST(LayeredIndexLockingTest, ConcurrentTreeOnRestoredFrozenBlocks) {
     for (uint64_t bid = 1; bid < frozen; bid++) EXPECT_EQ(sizes[t][bid], 8u);
   }
   ASSERT_TRUE(chain.Close().ok());
+}
+
+// Pre-fix: readers took no lock while a block apply mutated the indexes —
+// a SELECT's candidate-block probe ran against LayeredIndex bitmaps that
+// MergeTxnDeltas was growing, and a prove read the ALI root list that apply
+// push_back()ed (a reallocation under a live reader). Now every read
+// statement and every prove/digest holds the index set's apply lock shared
+// for its whole run, and apply takes it exclusive. One thread commits
+// one-transaction blocks through consensus while this one keeps running
+// SQL, proves and digests against the growing chain.
+TEST(IndexSetLockingTest, ReadsDuringApplySeeWholeBlocks) {
+  ScratchDir dir("locking_apply");
+  SimNetwork net;
+  KeyStore keystore;
+  ASSERT_TRUE(keystore.AddIdentity("n0", "secret-n0").ok());
+  ASSERT_TRUE(keystore.AddIdentity("org1", "secret-org1").ok());
+  NodeOptions options;
+  options.node_id = "n0";
+  options.data_dir = dir.path() + "/n0";
+  options.participants = {"n0"};
+  options.enable_gossip = false;
+  options.enable_repair = false;
+  options.consensus_options.max_batch_txns = 1;
+  options.consensus_options.batch_timeout_millis = 1;
+  SebdbNode node(options, &keystore, nullptr);
+  ASSERT_TRUE(node.Start(&net).ok());
+  ResultSet rs;
+  ASSERT_TRUE(
+      node.ExecuteSql("CREATE donate (donor string, amount int)", {}, &rs)
+          .ok());
+  ASSERT_TRUE(node.ExecuteSql("CREATE INDEX ON donate(amount)", {}, &rs).ok());
+
+  constexpr int kInserts = 40;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kInserts; i++) {
+      Transaction txn;
+      EXPECT_TRUE(node.MakeInsertTransaction(
+                          "org1", "donate",
+                          {Value::Str("d" + std::to_string(i % 3)),
+                           Value::Int(i)},
+                          &txn)
+                      .ok());
+      EXPECT_TRUE(node.SubmitAndWait(std::move(txn)).ok());
+    }
+    done.store(true);
+  });
+
+  const Value lo = Value::Int(5);
+  const Value hi = Value::Int(30);
+  int rounds = 0;
+  while (!done.load() || rounds == 0) {
+    ResultSet select;
+    ASSERT_TRUE(node.ExecuteSql(
+                        "SELECT * FROM donate WHERE amount >= 5 AND "
+                        "amount <= 30",
+                        {}, &select)
+                    .ok());
+    ResultSet trace;
+    ASSERT_TRUE(node.ExecuteSql("TRACE OPERATOR = 'org1'", {}, &trace).ok());
+    AuthQueryResponse range;
+    ASSERT_TRUE(node.AuthProveRange("donate", "amount", &lo, &hi, &range).ok());
+    Hash256 digest;
+    ASSERT_TRUE(node.AuthDigestRange("donate", "amount", &lo, &hi,
+                                     range.chain_height, &digest)
+                    .ok());
+    AuthQueryResponse by_sender;
+    ASSERT_TRUE(node.AuthProveTrace(/*by_sender=*/true, "org1", &by_sender)
+                    .ok());
+    ASSERT_TRUE(node.AuthDigestTrace(/*by_sender=*/true, "org1",
+                                     by_sender.chain_height, &digest)
+                    .ok());
+    rounds++;
+  }
+  writer.join();
+
+  ResultSet all;
+  ASSERT_TRUE(node.ExecuteSql("SELECT * FROM donate WHERE amount >= 5 AND "
+                              "amount <= 30",
+                              {}, &all)
+                  .ok());
+  EXPECT_EQ(all.num_rows(), 26u);
+  node.Stop();
 }
 
 }  // namespace

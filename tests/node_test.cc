@@ -359,9 +359,10 @@ TEST_F(ClusterTest, StoredProcedureDonationFlow) {
                   .IsInvalidArgument());
 }
 
-TEST_F(ClusterTest, PbftClusterEndToEnd) {
-  // A second cluster on the same network, running PBFT.
-  std::vector<std::string> ids = {"p0", "p1", "p2", "p3"};
+TEST_F(ClusterTest, TendermintClusterEndToEnd) {
+  // A second cluster on the same network, running Tendermint: the node
+  // routes the "tm.*" frames to its engine.
+  std::vector<std::string> ids = {"v0", "v1", "v2", "v3"};
   for (const auto& id : ids) {
     ASSERT_TRUE(keystore_.AddIdentity(id, "secret-" + id).ok());
   }
@@ -370,7 +371,7 @@ TEST_F(ClusterTest, PbftClusterEndToEnd) {
     NodeOptions options;
     options.node_id = id;
     options.data_dir = dir_->path() + "/" + id;
-    options.consensus = ConsensusKind::kPbft;
+    options.consensus = ConsensusKind::kTendermint;
     options.participants = ids;
     options.consensus_options.max_batch_txns = 2;
     options.consensus_options.batch_timeout_millis = 20;
@@ -381,7 +382,7 @@ TEST_F(ClusterTest, PbftClusterEndToEnd) {
   }
   ResultSet rs;
   ASSERT_TRUE(cluster[0]->ExecuteSql("CREATE t (v int)", {}, &rs).ok());
-  // p1 applies the CREATE block at its own pace; wait until its catalog
+  // v1 applies the CREATE block at its own pace; wait until its catalog
   // knows the table before submitting from it.
   ASSERT_TRUE(WaitForHeight(cluster[1].get(), 2));
   ASSERT_TRUE(

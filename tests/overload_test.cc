@@ -1,6 +1,6 @@
 // Overload-protection tests: AdmissionController semantics (caps, dedup,
 // quotas, the overload-state machine) and end-to-end shed-then-resubmit
-// behavior across all three consensus engines — a shed transaction, once
+// behavior across both consensus engines — a shed transaction, once
 // resubmitted after load drains, commits exactly once.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "common/admission.h"
 #include "consensus/kafka_orderer.h"
-#include "consensus/pbft.h"
 #include "consensus/tendermint.h"
 #include "network/sim_network.h"
 #include "tests/test_util.h"
@@ -292,93 +291,6 @@ TEST(OverloadTest, TendermintShedThenResubmitCommitsOnce) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(acked.load(), 1);
-}
-
-TEST(OverloadTest, PbftShedThenResubmitCommitsOnce) {
-  SimNetwork net;
-  std::vector<std::string> ids = {"n0", "n1", "n2", "n3"};
-  std::vector<std::unique_ptr<NodeHarness<PbftEngine>>> nodes;
-  for (const auto& id : ids) {
-    auto h = std::make_unique<NodeHarness<PbftEngine>>();
-    h->net = &net;
-    h->id = id;
-    h->engine = std::make_unique<PbftEngine>(id, ids, &net,
-                                             TinyMempoolOptions(),
-                                             h->log.MakeFn());
-    PbftEngine* engine = h->engine.get();
-    ASSERT_TRUE(net.Register(id, [engine](const Message& m) {
-                       engine->HandleMessage(m);
-                     }).ok());
-    ASSERT_TRUE(h->engine->Start().ok());
-    nodes.push_back(std::move(h));
-  }
-
-  // Submit through a non-primary origin.
-  Transaction a = MakeTxn("t", "client", 100, {Value::Int(1)});
-  Transaction b = MakeTxn("t", "client", 200, {Value::Int(2)});
-  ASSERT_TRUE(nodes[1]->engine->Submit(a, nullptr).ok());
-  Status shed = nodes[1]->engine->Submit(b, nullptr);
-  EXPECT_TRUE(shed.IsResourceExhausted());
-
-  std::atomic<int> acked{0};
-  ASSERT_TRUE(SubmitWithRetry(nodes[1]->engine.get(), b,
-                              [&](Status s) {
-                                EXPECT_TRUE(s.ok());
-                                acked++;
-                              })
-                  .ok());
-  for (auto& node : nodes) {
-    ASSERT_TRUE(node->log.WaitForTxns(2)) << node->id;
-    EXPECT_EQ(CountCommits(node->log, a), 1u) << node->id;
-    EXPECT_EQ(CountCommits(node->log, b), 1u) << node->id;
-  }
-  for (int i = 0; i < 500 && acked.load() < 1; i++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(acked.load(), 1);
-}
-
-TEST(OverloadTest, PbftResubmitAfterCommitAcksImmediately) {
-  SimNetwork net;
-  std::vector<std::string> ids = {"n0", "n1", "n2", "n3"};
-  std::vector<std::unique_ptr<NodeHarness<PbftEngine>>> nodes;
-  ConsensusOptions options;
-  options.max_batch_txns = 1;
-  options.batch_timeout_millis = 20;
-  for (const auto& id : ids) {
-    auto h = std::make_unique<NodeHarness<PbftEngine>>();
-    h->net = &net;
-    h->id = id;
-    h->engine = std::make_unique<PbftEngine>(id, ids, &net, options,
-                                             h->log.MakeFn());
-    PbftEngine* engine = h->engine.get();
-    ASSERT_TRUE(net.Register(id, [engine](const Message& m) {
-                       engine->HandleMessage(m);
-                     }).ok());
-    ASSERT_TRUE(h->engine->Start().ok());
-    nodes.push_back(std::move(h));
-  }
-  Transaction a = MakeTxn("t", "client", 100, {Value::Int(1)});
-  ASSERT_TRUE(nodes[1]->engine->Submit(a, nullptr).ok());
-  for (auto& node : nodes) ASSERT_TRUE(node->log.WaitForTxns(1));
-
-  // A caller that timed out and resubmits the committed txn is acked at
-  // once; the txn is not ordered a second time.
-  std::atomic<int> acked{0};
-  ASSERT_TRUE(nodes[1]
-                  ->engine
-                  ->Submit(a,
-                           [&](Status s) {
-                             EXPECT_TRUE(s.ok());
-                             acked++;
-                           })
-                  .ok());
-  EXPECT_EQ(acked.load(), 1);
-  net.DrainAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  for (auto& node : nodes) {
-    EXPECT_EQ(CountCommits(node->log, a), 1u) << node->id;
-  }
 }
 
 TEST(OverloadTest, KafkaBrokerNackPropagatesBackpressure) {

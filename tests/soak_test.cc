@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "consensus/pbft.h"
 #include "consensus/tendermint.h"
 #include "core/node.h"
 #include "storage/block.h"
@@ -330,15 +329,12 @@ TEST(SoakTest, OverloadPartitionCrashRestart) {
   for (auto& node : nodes) node->Stop();
 }
 
-// Engine-level deterministic soak for the BFT engines: sustained open-loop
+// Engine-level deterministic soak for the BFT engine: sustained open-loop
 // overload against a tiny mempool, asserting exactly-once commits and cap
 // compliance without the full-node stack (keeps the TSan run cheap).
-template <typename Engine>
-void EngineOverloadSoak(
-    const std::function<std::unique_ptr<Engine>(
-        const std::string& id, const std::vector<std::string>& ids,
-        SimNetwork* net, const ConsensusOptions& options, BatchCommitFn fn)>&
-        make_engine) {
+TEST(SoakTest, TendermintEngineOverload) {
+  TendermintOptions tm;
+  tm.serial_txn_cost_micros = 0;
   SimNetwork net;
   std::vector<std::string> ids = {"n0", "n1", "n2", "n3"};
   ConsensusOptions options;
@@ -348,7 +344,7 @@ void EngineOverloadSoak(
   options.admission.retry_after_base_millis = 2;
 
   struct Harness {
-    std::unique_ptr<Engine> engine;
+    std::unique_ptr<TendermintEngine> engine;
     std::mutex mu;
     std::condition_variable cv;
     std::vector<Transaction> committed;
@@ -357,15 +353,16 @@ void EngineOverloadSoak(
   for (const auto& id : ids) {
     auto h = std::make_unique<Harness>();
     Harness* raw = h.get();
-    h->engine = make_engine(
+    h->engine = std::make_unique<TendermintEngine>(
         id, ids, &net, options,
         [raw](uint64_t seq, std::vector<Transaction> txns) {
           (void)seq;
           std::lock_guard<std::mutex> lock(raw->mu);
           for (auto& txn : txns) raw->committed.push_back(std::move(txn));
           raw->cv.notify_all();
-        });
-    Engine* engine = h->engine.get();
+        },
+        tm);
+    TendermintEngine* engine = h->engine.get();
     ASSERT_TRUE(net.Register(id, [engine](const Message& m) {
                        engine->HandleMessage(m);
                      }).ok());
@@ -428,27 +425,6 @@ void EngineOverloadSoak(
   EXPECT_GT(rejections.load(), 0u);
   for (auto& node : nodes) node->engine->Stop();
   for (const auto& id : ids) net.Unregister(id);
-}
-
-TEST(SoakTest, PbftEngineOverload) {
-  EngineOverloadSoak<PbftEngine>(
-      [](const std::string& id, const std::vector<std::string>& ids,
-         SimNetwork* net, const ConsensusOptions& options, BatchCommitFn fn) {
-        return std::make_unique<PbftEngine>(id, ids, net, options,
-                                            std::move(fn));
-      });
-}
-
-TEST(SoakTest, TendermintEngineOverload) {
-  TendermintOptions tm;
-  tm.serial_txn_cost_micros = 0;
-  EngineOverloadSoak<TendermintEngine>(
-      [tm](const std::string& id, const std::vector<std::string>& ids,
-           SimNetwork* net, const ConsensusOptions& options,
-           BatchCommitFn fn) {
-        return std::make_unique<TendermintEngine>(id, ids, net, options,
-                                                  std::move(fn), tm);
-      });
 }
 
 }  // namespace

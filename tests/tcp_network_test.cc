@@ -161,6 +161,9 @@ TEST(FrameCodec, TypeAllowlist) {
   EXPECT_TRUE(IsAllowedMessageType("thin.submit"));
   EXPECT_TRUE(IsAllowedMessageType("net.ping"));
   EXPECT_TRUE(IsAllowedMessageType("kafka.submit"));
+  EXPECT_TRUE(IsAllowedMessageType("tm.proposal"));
+  // The PBFT engine is gone, and so is its prefix.
+  EXPECT_FALSE(IsAllowedMessageType("pbft.prepare"));
   EXPECT_FALSE(IsAllowedMessageType(""));
   EXPECT_FALSE(IsAllowedMessageType("gossip."));  // prefix alone is not a type
   EXPECT_FALSE(IsAllowedMessageType("evil.inject"));

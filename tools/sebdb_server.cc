@@ -67,7 +67,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --id=<node-id> --config=<cluster.conf> --data=<dir>\n"
-      "          [--consensus=kafka|pbft|tendermint] [--init-sql=<stmt>]\n"
+      "          [--consensus=kafka|tendermint] [--init-sql=<stmt>]\n"
       "          [--gossip-interval-ms=N] [--heartbeat-ms=N]\n"
       "          [--peer-down-ms=N] [--batch-timeout-ms=N]\n"
       "          [--max-batch-txns=N] [--status-interval-ms=N]\n",
@@ -142,8 +142,6 @@ int main(int argc, char** argv) {
   options.participants = config.NodeIds();
   if (flags.consensus == "kafka") {
     options.consensus = ConsensusKind::kKafka;
-  } else if (flags.consensus == "pbft") {
-    options.consensus = ConsensusKind::kPbft;
   } else if (flags.consensus == "tendermint") {
     options.consensus = ConsensusKind::kTendermint;
   } else {
