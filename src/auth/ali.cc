@@ -73,14 +73,7 @@ std::vector<MbTree::Entry> ExtractEntries(const Block& block,
 
 AuthenticatedLayeredIndex::AuthenticatedLayeredIndex(
     const LayeredIndex* index, MbTree::Options mb_options)
-    : index_(index), mb_options_(mb_options) {
-  // Built up front, never lazily: Tree() is const and runs concurrently
-  // from query workers.
-  const uint64_t budget = index_->options().materialized_cache_bytes;
-  if (budget > 0) {
-    rebuilt_ = std::make_unique<LruCache<uint64_t, const MbTree>>(budget);
-  }
-}
+    : index_(index), mb_options_(mb_options) {}
 
 Status AuthenticatedLayeredIndex::AddBlock(const Block& block) {
   std::vector<MbTree::Entry> entries =
@@ -134,11 +127,9 @@ Status AuthenticatedLayeredIndex::Tree(
     *out = nullptr;
     return Status::OK();
   }
-  if (rebuilt_ != nullptr) {
-    if (auto cached = rebuilt_->Lookup(bid)) {
-      *out = std::move(cached);
-      return Status::OK();
-    }
+  if (auto cached = rebuilt_.Lookup(bid)) {
+    *out = std::move(cached);
+    return Status::OK();
   }
   return RebuildTree(bid, out);
 }
@@ -166,9 +157,7 @@ Status AuthenticatedLayeredIndex::RebuildTree(
     return Status::Corruption("rebuilt MB-tree root mismatch for block " +
                               std::to_string(bid));
   }
-  if (tree != nullptr && rebuilt_ != nullptr) {
-    rebuilt_->Insert(bid, tree, charge);
-  }
+  if (tree != nullptr) rebuilt_.Insert(bid, tree, charge);
   *out = std::move(tree);
   return Status::OK();
 }

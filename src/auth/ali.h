@@ -65,9 +65,11 @@ class AuthenticatedLayeredIndex {
   using BlockLoader =
       std::function<Status(BlockId, std::shared_ptr<const Block>*)>;
 
+  /// Byte budget of the rebuilt-MB-tree LRU, charged by encoded records.
+  static constexpr uint64_t kTreeCacheBytes = 8ull << 20;
+
   /// `index` is the plain layered index over the same attribute; it must
-  /// outlive the ALI. The ALI takes its extractor and its rebuilt-tree cache
-  /// budget (LayeredIndexOptions::materialized_cache_bytes) from it.
+  /// outlive the ALI. The ALI takes its extractor from it.
   explicit AuthenticatedLayeredIndex(
       const LayeredIndex* index, MbTree::Options mb_options = MbTree::Options());
 
@@ -102,11 +104,9 @@ class AuthenticatedLayeredIndex {
   /// verified against the recorded root (Corruption on mismatch).
   Status Tree(BlockId bid, std::shared_ptr<const MbTree>* out) const;
 
-  /// Counters of the rebuilt-MB-tree LRU cache (all zero when its budget,
-  /// LayeredIndexOptions::materialized_cache_bytes, is zero).
+  /// Counters of the rebuilt-MB-tree LRU cache.
   LruCache<uint64_t, const MbTree>::Stats tree_cache_stats() const {
-    return rebuilt_ == nullptr ? LruCache<uint64_t, const MbTree>::Stats{}
-                               : rebuilt_->stats();
+    return rebuilt_.stats();
   }
 
   /// Phase 1 (full node): executes the range query and assembles the VO set.
@@ -151,8 +151,8 @@ class AuthenticatedLayeredIndex {
   std::vector<Hash256> roots_;
 
   /// Rebuilt MB-trees, charged by encoded record bytes (internally
-  /// synchronized); nullptr when the cache budget is zero.
-  std::unique_ptr<LruCache<uint64_t, const MbTree>> rebuilt_;
+  /// synchronized, so const queries fill it concurrently).
+  mutable LruCache<uint64_t, const MbTree> rebuilt_{kTreeCacheBytes};
 };
 
 }  // namespace sebdb

@@ -196,13 +196,7 @@ void TendermintEngine::MaybeProposeLocked() {
 
   // Proposer prevotes its own proposal.
   round_state_.sent_prevote = true;
-  round_state_.prevotes.insert(node_id_);
-  std::string vote;
-  PutVarint64(&vote, height_);
-  PutVarint32(&vote, round_);
-  vote.append(reinterpret_cast<const char*>(round_state_.digest.bytes.data()),
-              32);
-  BroadcastToReplicas(kPrevoteType, vote);
+  VoteLocked(kPrevoteType, &round_state_.prevotes);
   MaybePrecommitLocked();
 }
 
@@ -234,15 +228,20 @@ void TendermintEngine::OnProposal(const Message& message) {
 
   if (!round_state_.sent_prevote) {
     round_state_.sent_prevote = true;
-    round_state_.prevotes.insert(node_id_);
-    std::string vote;
-    PutVarint64(&vote, height_);
-    PutVarint32(&vote, round_);
-    vote.append(
-        reinterpret_cast<const char*>(round_state_.digest.bytes.data()), 32);
-    BroadcastToReplicas(kPrevoteType, vote);
+    VoteLocked(kPrevoteType, &round_state_.prevotes);
   }
   MaybePrecommitLocked();
+}
+
+void TendermintEngine::VoteLocked(const std::string& type,
+                                  std::map<std::string, Hash256>* votes) {
+  (*votes)[node_id_] = round_state_.digest;
+  std::string vote;
+  PutVarint64(&vote, height_);
+  PutVarint32(&vote, round_);
+  vote.append(reinterpret_cast<const char*>(round_state_.digest.bytes.data()),
+              32);
+  BroadcastToReplicas(type, vote);
 }
 
 void TendermintEngine::OnPrevote(const Message& message) {
@@ -256,22 +255,17 @@ void TendermintEngine::OnPrevote(const Message& message) {
   }
   MutexLock lock(&mu_);
   if (!running_ || height != height_ || round != round_) return;
-  if (round_state_.have_proposal && digest != round_state_.digest) return;
-  round_state_.prevotes.insert(message.from);
+  round_state_.prevotes.emplace(message.from, digest);
   MaybePrecommitLocked();
 }
 
 void TendermintEngine::MaybePrecommitLocked() {
   if (!round_state_.have_proposal || round_state_.sent_precommit) return;
-  if (static_cast<int>(round_state_.prevotes.size()) < QuorumSize()) return;
+  if (VotesFor(round_state_.prevotes, round_state_.digest) < QuorumSize()) {
+    return;
+  }
   round_state_.sent_precommit = true;
-  round_state_.precommits.insert(node_id_);
-  std::string vote;
-  PutVarint64(&vote, height_);
-  PutVarint32(&vote, round_);
-  vote.append(reinterpret_cast<const char*>(round_state_.digest.bytes.data()),
-              32);
-  BroadcastToReplicas(kPrecommitType, vote);
+  VoteLocked(kPrecommitType, &round_state_.precommits);
   MaybeCommitLocked();
 }
 
@@ -286,14 +280,16 @@ void TendermintEngine::OnPrecommit(const Message& message) {
   }
   MutexLock lock(&mu_);
   if (!running_ || height != height_ || round != round_) return;
-  if (round_state_.have_proposal && digest != round_state_.digest) return;
-  round_state_.precommits.insert(message.from);
+  round_state_.precommits.emplace(message.from, digest);
   MaybeCommitLocked();
 }
 
 void TendermintEngine::MaybeCommitLocked() {
   if (!round_state_.have_proposal || committing_) return;
-  if (static_cast<int>(round_state_.precommits.size()) < QuorumSize()) return;
+  if (VotesFor(round_state_.precommits, round_state_.digest) <
+      QuorumSize()) {
+    return;
+  }
   committing_ = true;
 
   std::vector<Transaction> batch;

@@ -9,9 +9,9 @@
 // transaction cost.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -60,9 +60,19 @@ class TendermintEngine : public ConsensusEngine {
     bool have_proposal = false;
     bool sent_prevote = false;
     bool sent_precommit = false;
-    std::set<std::string> prevotes;
-    std::set<std::string> precommits;
+    // Sender -> the digest its vote carries. A vote may arrive before the
+    // proposal, so it is kept whatever its digest and counts only toward a
+    // quorum for that digest (VotesFor).
+    std::map<std::string, Hash256> prevotes;
+    std::map<std::string, Hash256> precommits;
   };
+
+  static int VotesFor(const std::map<std::string, Hash256>& votes,
+                      const Hash256& digest) {
+    return static_cast<int>(std::count_if(
+        votes.begin(), votes.end(),
+        [&](const auto& vote) { return vote.second == digest; }));
+  }
 
   std::string ProposerOf(uint64_t height, uint32_t round) const {
     return participants_[(height + round) % participants_.size()];
@@ -76,6 +86,10 @@ class TendermintEngine : public ConsensusEngine {
   void OnPrevote(const Message& message);
   void OnPrecommit(const Message& message);
   void MaybeProposeLocked() REQUIRES(mu_);
+  // Records this node's vote for the round's proposal in *votes and
+  // broadcasts it as `type`.
+  void VoteLocked(const std::string& type,
+                  std::map<std::string, Hash256>* votes) REQUIRES(mu_);
   void MaybePrecommitLocked() REQUIRES(mu_);
   void MaybeCommitLocked() REQUIRES(mu_);
   void TimerLoop();

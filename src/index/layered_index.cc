@@ -71,15 +71,12 @@ Status LayeredIndex::MergeTxnDeltas(
     block_buckets_.push_back(std::move(buckets));
   }
 
-  // Second level: bulk-load the per-block tree (tail: in memory until the
-  // next checkpoint freezes it).
-  std::shared_ptr<SecondLevelTree> tree;
-  if (!entries.empty()) {
-    tree = std::make_shared<SecondLevelTree>();
-    tree->BulkLoad(std::move(entries));
-  }
-  total_entries_ += tree ? tree->size() : 0;
-  block_trees_.push_back(std::move(tree));
+  // Second level: the sorted run, kept as is until the next checkpoint
+  // streams it into pages.
+  total_entries_ += entries.size();
+  tail_.push_back(entries.empty() ? nullptr
+                                  : std::make_shared<const SortedRun>(
+                                        std::move(entries)));
   num_blocks_++;
   return Status::OK();
 }
@@ -110,84 +107,63 @@ Bitmap LayeredIndex::BlocksWithEntries() const {
   for (uint64_t bid = 0; bid < frozen_.size(); bid++) {
     if (frozen_[bid].file_ordinal != FrozenTreeRef::kNoTree) result.Set(bid);
   }
-  for (uint64_t i = 0; i < block_trees_.size(); i++) {
-    if (block_trees_[i] != nullptr) result.Set(frozen_.size() + i);
+  for (uint64_t i = 0; i < tail_.size(); i++) {
+    if (tail_[i] != nullptr) result.Set(frozen_.size() + i);
   }
   return result;
 }
 
-LayeredIndex::DiskTree LayeredIndex::FrozenTree(
-    const FrozenTreeRef& ref) const {
-  return DiskTree(pool_, {tree_files_[ref.file_ordinal], ref.root,
-                          ref.entries});
+void LayeredIndex::Cursor::Settle() {
+  if (disk_.Valid()) {
+    yielded_++;
+    return;
+  }
+  status_ = disk_.status();
+  if (status_.ok() && from_start_ && yielded_ != expected_) {
+    status_ = Status::Corruption(
+        "frozen tree of block " + std::to_string(bid_) + " has " +
+        std::to_string(yielded_) + " entries, expected " +
+        std::to_string(expected_));
+  }
+}
+
+LayeredIndex::Cursor LayeredIndex::Seek(BlockId bid, const Value* lo) const {
+  Cursor c;
+  if (bid >= num_blocks_) {
+    c.status_ = Status::InvalidArgument("block not indexed yet");
+    return c;
+  }
+  if (bid >= frozen_.size()) {
+    c.run_ = tail_[bid - frozen_.size()];
+    if (c.run_ != nullptr && lo != nullptr) {
+      c.pos_ = std::lower_bound(c.run_->begin(), c.run_->end(), *lo,
+                                [](const auto& entry, const Value& v) {
+                                  return entry.first.CompareTotal(v) < 0;
+                                }) -
+               c.run_->begin();
+    }
+    return c;
+  }
+  const FrozenTreeRef& ref = frozen_[bid];
+  if (ref.file_ordinal == FrozenTreeRef::kNoTree) return c;
+  DiskTree tree(pool_,
+                {tree_files_[ref.file_ordinal], ref.root, ref.entries});
+  c.disk_ = lo != nullptr ? tree.SeekGE(*lo) : tree.Begin();
+  c.bid_ = bid;
+  c.from_start_ = lo == nullptr;
+  c.expected_ = ref.entries;
+  c.Settle();
+  return c;
 }
 
 Status LayeredIndex::SearchBlock(BlockId bid, const Value* lo, const Value* hi,
                                  std::vector<TxnPointer>* out) const {
-  if (bid >= num_blocks_) {
-    return Status::InvalidArgument("block not indexed yet");
-  }
-  if (bid < frozen_.size()) {
-    const FrozenTreeRef& ref = frozen_[bid];
-    if (ref.file_ordinal == FrozenTreeRef::kNoTree) return Status::OK();
-    DiskTree tree = FrozenTree(ref);
-    auto it = lo != nullptr ? tree.SeekGE(*lo) : tree.Begin();
-    for (; it.Valid(); it.Next()) {
-      if (hi != nullptr && it.key().CompareTotal(*hi) > 0) break;
-      out->push_back(TxnPointer{bid, it.value()});
-    }
-    return it.status();
-  }
-  const SecondLevelTree* tree = block_trees_[bid - frozen_.size()].get();
-  if (tree == nullptr) return Status::OK();
-  auto it = lo != nullptr ? tree->SeekGE(*lo) : tree->Begin();
+  Cursor it = Seek(bid, lo);
   for (; it.Valid(); it.Next()) {
     if (hi != nullptr && it.key().CompareTotal(*hi) > 0) break;
     out->push_back(TxnPointer{bid, it.value()});
   }
-  return Status::OK();
-}
-
-Status LayeredIndex::Tree(BlockId bid,
-                          std::shared_ptr<const SecondLevelTree>* out) const {
-  out->reset();
-  if (bid >= num_blocks_) return Status::OK();
-  if (bid >= frozen_.size()) {
-    *out = block_trees_[bid - frozen_.size()];
-    return Status::OK();
-  }
-  const FrozenTreeRef& ref = frozen_[bid];
-  if (ref.file_ordinal == FrozenTreeRef::kNoTree) return Status::OK();
-  if (materialized_ != nullptr) {
-    if (auto cached = materialized_->Lookup(bid)) {
-      *out = std::move(cached);
-      return Status::OK();
-    }
-  }
-  // Fault the whole tree back: decode every leaf in order and bulk-load an
-  // in-memory twin (merge joins walk entire trees, so partial faulting
-  // would thrash).
-  DiskTree disk = FrozenTree(ref);
-  std::vector<std::pair<Value, uint32_t>> entries;
-  entries.reserve(ref.entries);
-  size_t charge = 64;
-  auto it = disk.Begin();
-  for (; it.Valid(); it.Next()) {
-    charge += it.key().ByteSize() + 16;
-    entries.emplace_back(it.key(), it.value());
-  }
-  if (!it.status().ok()) return it.status();
-  if (entries.size() != ref.entries) {
-    return Status::Corruption("frozen tree of block " + std::to_string(bid) +
-                              " has " + std::to_string(entries.size()) +
-                              " entries, expected " +
-                              std::to_string(ref.entries));
-  }
-  auto tree = std::make_shared<SecondLevelTree>();
-  tree->BulkLoad(std::move(entries));
-  if (materialized_ != nullptr) materialized_->Insert(bid, tree, charge);
-  *out = std::move(tree);
-  return Status::OK();
+  return it.status();
 }
 
 const Bitmap* LayeredIndex::BlockBuckets(BlockId bid) const {
@@ -212,13 +188,13 @@ Status LayeredIndex::WriteFrozenDelta(BufferManager* pool,
   }
   const uint32_t ordinal = static_cast<uint32_t>(tree_files_.size());
   for (uint64_t bid = frozen_.size(); bid < up_to; bid++) {
-    const SecondLevelTree* tree = block_trees_[bid - frozen_.size()].get();
+    const SortedRun* run = tail_[bid - frozen_.size()].get();
     FrozenTreeRef ref;
-    if (tree != nullptr) {
+    if (run != nullptr) {
       DiskBpTreeBuilder<Value, uint32_t, ValuePosCodec, ValueCmp> builder(
           pool, file);
-      for (auto it = tree->Begin(); it.Valid(); it.Next()) {
-        Status s = builder.Add(it.key(), it.value());
+      for (const auto& [v, pos] : *run) {
+        Status s = builder.Add(v, pos);
         if (!s.ok()) return s;
       }
       typename DiskTree::Ref built;
@@ -240,8 +216,8 @@ void LayeredIndex::AdoptFrozen(BufferManager* pool,
   tree_files_.push_back(file);
   frozen_.insert(frozen_.end(), refs.begin(), refs.end());
   // The refs cover the oldest refs.size() tail blocks: drop their in-memory
-  // trees (this is where a long-running node's memory stops growing).
-  block_trees_.erase(block_trees_.begin(), block_trees_.begin() + refs.size());
+  // runs (this is where a long-running node's memory stops growing).
+  tail_.erase(tail_.begin(), tail_.begin() + refs.size());
 }
 
 void LayeredIndex::EncodeFirstLevel(std::string* dst) const {

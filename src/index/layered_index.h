@@ -2,24 +2,26 @@
 //   1. per-block summaries of the indexed attribute's values — for a
 //      continuous attribute, a bitmap over the buckets of an equal-depth
 //      histogram; for a discrete attribute, one bitmap over blocks per value;
-//   2. one B+-tree per block on the attribute, bulk-loaded when the block is
-//      chained (no rebalancing, batch-append friendly).
+//   2. one sorted (value, position) sequence per block on the attribute,
+//      built once when the block is chained and never changed.
 // A range query ANDs the query's bucket bitmap against each block entry to
-// filter blocks, then searches the surviving blocks' trees.
+// filter blocks, then searches the surviving blocks' second levels.
 //
 // Created on an application-level column of one table (range/point queries),
 // or on a system-level column (SenID / Tname) across all tables (tracking
 // queries).
 //
-// Persistence: the second level is hybrid. Blocks below frozen_end() have
-// their trees in checkpoint page files (immutable DiskBpTrees, faulted
-// through a BufferManager); blocks above it — chained since the last
-// checkpoint — keep ordinary in-memory trees. The first level (bitmaps,
-// histogram) always stays in memory and is serialized wholesale into each
-// checkpoint's meta blob (EncodeCheckpointState / RestoreCheckpoint).
-// Checkpointing appends one delta file covering the blocks frozen since the
-// previous checkpoint (WriteFrozenDelta), and after the manifest publishes,
-// AdoptFrozen swaps those blocks' in-memory trees for their disk refs.
+// A block's second level has exactly two forms. Blocks below frozen_end()
+// keep theirs as bulk-loaded B+-tree pages in checkpoint files (immutable
+// DiskBpTrees, walked in place through a BufferManager); blocks above it —
+// chained since the last checkpoint — keep the immutable sorted run their
+// merge produced. One Cursor reads both, so probes (SearchBlock) and the
+// merge joins share one path. The first level (bitmaps, histogram) always
+// stays in memory and is serialized wholesale into each checkpoint's meta
+// blob (EncodeCheckpointState / RestoreCheckpoint). Checkpointing streams
+// the runs of the blocks frozen since the previous checkpoint into one
+// delta file (WriteFrozenDelta), and after the manifest publishes,
+// AdoptFrozen swaps those runs for their disk refs.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +29,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.h"
-#include "common/lru_cache.h"
 #include "common/status.h"
-#include "index/bptree.h"
 #include "index/histogram.h"
 #include "index/index_codec.h"
 #include "index/txn_pointer.h"
@@ -54,10 +55,6 @@ struct LayeredIndexOptions {
   /// Bucket count of the equal-depth histogram (continuous only). The paper
   /// sets "the depth of histogram" to 100 in the range-query experiments.
   size_t histogram_buckets = 100;
-  /// Byte budget for in-memory trees materialized from frozen blocks (the
-  /// merge-join path needs whole trees). 0 disables caching (each request
-  /// rebuilds).
-  uint64_t materialized_cache_bytes = 8ull << 20;
 };
 
 class LayeredIndex {
@@ -67,8 +64,9 @@ class LayeredIndex {
       return a.CompareTotal(b) < 0;
     }
   };
-  /// Per-block second level: attribute value -> position in block.
-  using SecondLevelTree = BpTree<Value, uint32_t, ValueCmp>;
+  /// A tail block's second level: (attribute value, position in block)
+  /// sorted by value, then position — the order a checkpoint writes.
+  using SortedRun = std::vector<std::pair<Value, uint32_t>>;
   using DiskTree = DiskBpTree<Value, uint32_t, ValuePosCodec, ValueCmp>;
 
   /// Where a frozen block's tree lives: which delta file (ordinal into the
@@ -81,19 +79,55 @@ class LayeredIndex {
     uint64_t entries = 0;
   };
 
+  /// Walks one block's second level in (value, position) order, from a
+  /// tail block's sorted run or in place over a frozen block's pages. It
+  /// keeps alive what it reads (the run, or the current leaf's page), so it
+  /// stays valid while checkpoints adopt or the pool evicts.
+  class Cursor {
+   public:
+    bool Valid() const {
+      return run_ != nullptr ? pos_ < run_->size() : disk_.Valid();
+    }
+    const Value& key() const {
+      return run_ != nullptr ? (*run_)[pos_].first : disk_.key();
+    }
+    uint32_t value() const {
+      return run_ != nullptr ? (*run_)[pos_].second : disk_.value();
+    }
+    void Next() {
+      if (run_ != nullptr) {
+        pos_++;
+      } else {
+        disk_.Next();
+        Settle();
+      }
+    }
+    /// OK while walking and at a clean end. Reports I/O and decode errors,
+    /// and Corruption when a frozen tree walked from its first entry ends
+    /// after a count other than the one its checkpoint recorded.
+    const Status& status() const { return status_; }
+
+   private:
+    friend class LayeredIndex;
+    // Settles after each step of disk_: counts a yielded entry, or at the
+    // end takes the iterator's status and checks the entry count.
+    void Settle();
+
+    std::shared_ptr<const SortedRun> run_;  // tail block; null when frozen
+    size_t pos_ = 0;
+    DiskTree::Iterator disk_;  // frozen block
+    BlockId bid_ = 0;
+    bool from_start_ = false;  // walking from the first entry: check count
+    uint64_t expected_ = 0;
+    uint64_t yielded_ = 0;
+    Status status_;
+  };
+
   LayeredIndex(std::string name, LayeredIndexOptions options,
                ColumnExtractor extractor)
       : name_(std::move(name)),
         options_(options),
-        extractor_(std::move(extractor)) {
-    // Built up front, never lazily: Tree() is const and runs concurrently
-    // from parallel join workers.
-    if (options_.materialized_cache_bytes > 0) {
-      materialized_ =
-          std::make_unique<LruCache<uint64_t, const SecondLevelTree>>(
-              options_.materialized_cache_bytes);
-    }
-  }
+        extractor_(std::move(extractor)) {}
 
   const std::string& name() const { return name_; }
   const LayeredIndexOptions& options() const { return options_; }
@@ -103,8 +137,8 @@ class LayeredIndex {
   Status SetHistogram(EqualDepthHistogram histogram);
   const EqualDepthHistogram& histogram() const { return histogram_; }
 
-  /// Indexes a newly chained block: appends the first-level entry and
-  /// bulk-loads the block's second-level tree. Blocks must arrive in order.
+  /// Indexes a newly chained block: appends the first-level entry and the
+  /// block's sorted second-level run. Blocks must arrive in order.
   /// Extraction + MergeTxnDeltas; IndexSet::ApplyBlock runs the two halves
   /// as separate parallel phases.
   Status AddBlock(const Block& block);
@@ -117,9 +151,9 @@ class LayeredIndex {
   /// Merge step of the parallel apply pipeline: ingests one block from
   /// pre-extracted (value, block position) pairs, which MUST be in block
   /// position (= original transaction) order — exactly what AddBlock
-  /// gathers. Sorting, histogram bootstrap, first-level update and the
-  /// bulk-load all happen here, so AddBlock and IndexSet::ApplyBlock share
-  /// one deterministic code path and produce byte-identical state.
+  /// gathers. Sorting, histogram bootstrap and the first-level update all
+  /// happen here, so AddBlock and IndexSet::ApplyBlock share one
+  /// deterministic code path and produce byte-identical state.
   Status MergeTxnDeltas(uint64_t height,
                         std::vector<std::pair<Value, uint32_t>> entries);
 
@@ -134,16 +168,16 @@ class LayeredIndex {
   /// Bitmap of blocks that contain at least one indexed entry.
   Bitmap BlocksWithEntries() const;
 
+  /// A cursor over block `bid`'s second level at its first entry with value
+  /// >= *lo (at its first entry when lo is null). InvalidArgument status
+  /// when the block is not indexed yet; not Valid() when it holds no
+  /// entries.
+  Cursor Seek(BlockId bid, const Value* lo) const;
+
   /// Second-level search in one block; appends matching positions to *out in
-  /// attribute order. Frozen blocks are searched directly on their disk
-  /// trees (no materialization).
+  /// attribute order.
   Status SearchBlock(BlockId bid, const Value* lo, const Value* hi,
                      std::vector<TxnPointer>* out) const;
-
-  /// The block's second-level tree, materializing (and caching) it from disk
-  /// for frozen blocks. *out is nullptr when the block holds no entries.
-  /// Leaf order is attribute order — what the sort-merge joins exploit.
-  Status Tree(BlockId bid, std::shared_ptr<const SecondLevelTree>* out) const;
 
   /// First-level bucket bitmap of one block (continuous only; empty bitmap
   /// if the block holds no entries). Used by the join intersect() tests.
@@ -163,7 +197,7 @@ class LayeredIndex {
 
   // --- checkpoint protocol (driven by IndexSet; single-threaded) ---
 
-  /// Streams the trees of blocks [frozen_end(), up_to) into `file` (one
+  /// Streams the runs of blocks [frozen_end(), up_to) into `file` (one tree
   /// builder per non-empty block) and returns their refs, with file_ordinal
   /// pre-assigned to the slot the file will occupy after AdoptFrozen. Pure
   /// write: no index state changes (the checkpoint may still fail).
@@ -171,7 +205,7 @@ class LayeredIndex {
                           uint64_t up_to, std::vector<FrozenTreeRef>* refs);
 
   /// Commits a published delta: registers `file`, records the refs, and
-  /// drops the now-frozen blocks' in-memory trees (the memory bound that
+  /// drops the now-frozen blocks' in-memory runs (the memory bound that
   /// makes long-lived nodes viable). `refs` must be WriteFrozenDelta's.
   void AdoptFrozen(BufferManager* pool, BufferManager::FileId file,
                    const std::vector<FrozenTreeRef>& refs);
@@ -193,7 +227,6 @@ class LayeredIndex {
  private:
   Status DecodeFirstLevel(Slice* in);
   void EncodeFirstLevel(std::string* dst) const;
-  DiskTree FrozenTree(const FrozenTreeRef& ref) const;
 
   std::string name_;
   LayeredIndexOptions options_;
@@ -212,15 +245,10 @@ class LayeredIndex {
   std::vector<BufferManager::FileId> tree_files_;
   std::vector<FrozenTreeRef> frozen_;
 
-  // Second level, tail part: in-memory trees of blocks chained since the
-  // last checkpoint; block_trees_[i] belongs to block frozen_end() + i
-  // (nullptr when the block holds no entries).
-  std::vector<std::shared_ptr<SecondLevelTree>> block_trees_;
-
-  // Frozen trees materialized back into memory for merge joins, keyed by
-  // block id, charged by decoded bytes (internally synchronized); nullptr
-  // when materialized_cache_bytes == 0.
-  std::unique_ptr<LruCache<uint64_t, const SecondLevelTree>> materialized_;
+  // Second level, tail part: sorted runs of blocks chained since the last
+  // checkpoint; tail_[i] belongs to block frozen_end() + i (nullptr when
+  // the block holds no entries).
+  std::vector<std::shared_ptr<const SortedRun>> tail_;
 
   uint64_t num_blocks_ = 0;
   size_t total_entries_ = 0;

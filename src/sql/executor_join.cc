@@ -288,7 +288,7 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
 
   // Layered-merge (Algorithm 2): pair up candidate blocks of the two
   // indices, skip pairs whose first-level entries cannot intersect, and
-  // sort-merge the second-level trees of the surviving pairs.
+  // sort-merge the second levels of the surviving pairs.
   Bitmap left_blocks = left_index->BlocksWithEntries();
   Bitmap right_blocks = right_index->BlocksWithEntries();
   if (window.has_value()) {
@@ -340,15 +340,10 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
       pool_, pairs.size(),
       [&](size_t i, RowVec* out) -> Status {
         const auto [br, bs] = pairs[i];
-        // Sort-merge over the two blocks' second-level trees (leaves are in
-        // attribute order).
-        std::shared_ptr<const LayeredIndex::SecondLevelTree> ltree, rtree;
-        Status ts = left_index->Tree(br, &ltree);
-        if (ts.ok()) ts = right_index->Tree(bs, &rtree);
-        if (!ts.ok()) return ts;
-        if (ltree == nullptr || rtree == nullptr) return Status::OK();
-        auto lit = ltree->Begin();
-        auto rit = rtree->Begin();
+        // Sort-merge over the two blocks' second levels (cursors walk them
+        // in attribute order).
+        LayeredIndex::Cursor lit = left_index->Seek(br, nullptr);
+        LayeredIndex::Cursor rit = right_index->Seek(bs, nullptr);
         Status ps;
         while (lit.Valid() && rit.Valid()) {
           int cmp = lit.key().CompareTotal(rit.key());
@@ -387,7 +382,7 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
             }
           }
         }
-        return Status::OK();
+        return lit.status().ok() ? rit.status() : lit.status();
       },
       &buffers);
   if (!s.ok()) return s;
@@ -575,11 +570,7 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
       pool_, cand_bids.size(),
       [&](size_t i, RowVec* out) -> Status {
         const size_t bid = cand_bids[i];
-        std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
-        Status ts = on_index->Tree(bid, &tree);
-        if (!ts.ok()) return ts;
-        if (tree == nullptr) return Status::OK();
-        auto onit = tree->Begin();
+        LayeredIndex::Cursor onit = on_index->Seek(bid, nullptr);
         size_t off_i = 0;
         Status ps;
         while (onit.Valid() && off_i < off_sorted.size()) {
@@ -617,7 +608,7 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
           // Off-chain duplicates were consumed; the merge continues after
           // them for the next on-chain key.
         }
-        return Status::OK();
+        return onit.status();
       },
       &buffers);
   if (!s.ok()) return s;

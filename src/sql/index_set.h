@@ -9,7 +9,7 @@
 // The IndexSet is also the checkpoint unit: WriteCheckpoint streams every
 // index's new-blocks delta into fresh page files and encodes one meta blob;
 // after the manifest publishes, AdoptCheckpoint commits the deltas (dropping
-// the frozen blocks' in-memory trees); RestoreCheckpoint rebuilds a fresh
+// the frozen blocks' in-memory runs); RestoreCheckpoint rebuilds a fresh
 // IndexSet from a published checkpoint's files + meta. The meta holds each
 // layered index's first level once, followed by its ALI's root list.
 #pragma once

@@ -328,10 +328,12 @@ Status TxnAmountKeyFn(const Slice& record, Value* key) {
 // MB-tree rebuilds, like the block store does inside IndexSet.
 class AliTest : public ::testing::Test {
  protected:
-  void SetUp() override { Init(/*num_blocks=*/10, LayeredIndexOptions()); }
+  void SetUp() override { Init(/*num_blocks=*/10); }
 
-  // Block b holds amounts b*100 .. b*100+49.
-  void Init(int num_blocks, LayeredIndexOptions options) {
+  // Block b holds amounts b*100 .. b*100+49; with pad_bytes > 0 each txn
+  // also carries a string column of that many bytes.
+  void Init(int num_blocks, size_t pad_bytes = 0) {
+    LayeredIndexOptions options;
     options.histogram_buckets = 8;
     layered_ = std::make_unique<LayeredIndex>("donate.amount", options,
                                               AmountExtractor());
@@ -347,8 +349,12 @@ class AliTest : public ::testing::Test {
     for (int b = 0; b < num_blocks; b++) {
       std::vector<Transaction> txns;
       for (int i = 0; i < 50; i++) {
+        std::vector<Value> values = {Value::Int(b * 100 + i)};
+        if (pad_bytes > 0) {
+          values.push_back(Value::Str(std::string(pad_bytes, 'x')));
+        }
         txns.push_back(
-            MakeTxn("donate", "org1", b * 100 + i, {Value::Int(b * 100 + i)}));
+            MakeTxn("donate", "org1", b * 100 + i, std::move(values)));
       }
       blocks_.push_back(
           std::make_shared<const Block>(MakeBlockOf(b, std::move(txns))));
@@ -365,11 +371,11 @@ class AliTest : public ::testing::Test {
 
 // Apply keeps only MB-tree roots: a long tail with no checkpoint holds no
 // tree, and proving over it rebuilds each visited block from the store,
-// bounded by the tree cache budget.
+// bounded by the tree cache budget. Each block's records take ~100 KB, so
+// the ~150 visited blocks exceed the budget.
 TEST_F(AliTest, TailTreesRebuildFromStoreWithinCacheBudget) {
-  LayeredIndexOptions options;
-  options.materialized_cache_bytes = 64 << 10;
-  Init(/*num_blocks=*/300, options);
+  constexpr size_t kPadBytes = 2000;
+  Init(/*num_blocks=*/300, kPadBytes);
   EXPECT_EQ(ali_->tree_cache_stats().entries, 0u);
   EXPECT_EQ(ali_->tree_cache_stats().usage, 0u);
   EXPECT_EQ(loads_, 0);
@@ -389,11 +395,15 @@ TEST_F(AliTest, TailTreesRebuildFromStoreWithinCacheBudget) {
                   response, &lo, &hi, TxnAmountKeyFn, {digest}, 1, &records)
                   .ok());
   EXPECT_EQ(records.size(), 151u * 50u);
+  size_t record_bytes = 0;
+  for (const auto& record : records) record_bytes += record.size();
+  EXPECT_GT(record_bytes, AuthenticatedLayeredIndex::kTreeCacheBytes);
 
   const auto stats = ali_->tree_cache_stats();
   EXPECT_GT(stats.entries, 0u);
   EXPECT_LT(stats.entries, visited);  // the budget evicted older rebuilds
-  EXPECT_LE(stats.usage, options.materialized_cache_bytes);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.usage, AuthenticatedLayeredIndex::kTreeCacheBytes);
 
   // The newest rebuilt block is served from the cache.
   std::shared_ptr<const MbTree> tree;

@@ -22,6 +22,7 @@ namespace {
 
 using testing_util::MakeTxn;
 using testing_util::ScratchDir;
+using testing_util::SecondLevelEntries;
 
 struct Workload {
   // One entry per consensus batch: the transactions of that block.
@@ -127,6 +128,16 @@ std::string Fingerprint(ChainManager* chain, uint64_t seed) {
   for (const char* name : {"t", "u", "nope"}) {
     Value key = Value::Str(name);
     fp += BitmapString(indexes->tname_index()->CandidateBlocks(&key, &key));
+  }
+  // Every block's whole second level, entry by entry: tail runs, frozen
+  // pages and restored pages must walk alike.
+  for (LayeredIndex* index :
+       {indexes->senid_index(), indexes->GetLayered("t", "v")}) {
+    if (index == nullptr) continue;
+    for (uint64_t h = 0; h < index->num_blocks(); h++) {
+      for (const auto& entry : SecondLevelEntries(*index, h)) fp += entry + ",";
+      fp += ";";
+    }
   }
 
   // User index on t.v: random ranges through candidates + searches.

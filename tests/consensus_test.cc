@@ -1,10 +1,11 @@
 // Tests for the consensus engines: Kafka-style ordering and the
-// Tendermint-style BFT engine (including a proposer failure and a forged
-// proposal).
+// Tendermint-style BFT engine (including a proposer failure, a forged
+// proposal and an equivocating proposer).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 
 #include "common/coding.h"
@@ -25,6 +26,7 @@ class CommitLog {
     return [this](uint64_t seq, std::vector<Transaction> txns) {
       std::lock_guard<std::mutex> lock(mu_);
       sequences_.push_back(seq);
+      batches_[seq] = txns;
       for (auto& txn : txns) txns_.push_back(std::move(txn));
       cv_.notify_all();
     };
@@ -33,6 +35,11 @@ class CommitLog {
     std::unique_lock<std::mutex> lock(mu_);
     return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
                         [&] { return txns_.size() >= n; });
+  }
+  // Committed batches by sequence number.
+  std::map<uint64_t, std::vector<Transaction>> batches() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batches_;
   }
   std::vector<uint64_t> sequences() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -47,6 +54,7 @@ class CommitLog {
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<uint64_t> sequences_;
+  std::map<uint64_t, std::vector<Transaction>> batches_;
   std::vector<Transaction> txns_;
 };
 
@@ -315,6 +323,80 @@ TEST(TendermintTest, RejectsProposalFromNonProposer) {
       EXPECT_NE(txn.sender(), "mallory");
     }
   }
+  for (auto& node : nodes) node->engine->Stop();
+}
+
+// An equivocating proposer (v0, played by the test) sends batch A to v1 and
+// v2 and batch B to v3, and votes for whichever batch each one holds. v1
+// and v2 prevote and precommit A, and v3 receives those votes before B. A
+// vote counts only toward the digest it carries, so v3 cannot make B's
+// quorum out of the honest A votes: no two validators commit different
+// batches at one height.
+TEST(TendermintTest, EquivocatingProposerCannotSplitValidators) {
+  SimNetwork net;
+  const std::vector<std::string> ids = {"v0", "v1", "v2", "v3"};
+  TendermintOptions tm_options;
+  tm_options.serial_txn_cost_micros = 0;
+  tm_options.propose_timeout_millis = 60000;  // no round change mid-test
+  std::vector<std::unique_ptr<NodeHarness<TendermintEngine>>> nodes;
+  for (const std::string id : {"v1", "v2", "v3"}) {
+    auto h = std::make_unique<NodeHarness<TendermintEngine>>();
+    h->net = &net;
+    h->id = id;
+    h->engine = std::make_unique<TendermintEngine>(
+        id, ids, &net, FastOptions(), h->log.MakeFn(), tm_options);
+    TendermintEngine* engine = h->engine.get();
+    ASSERT_TRUE(
+        net.Register(id,
+                     [engine](const Message& m) { engine->HandleMessage(m); })
+            .ok());
+    ASSERT_TRUE(h->engine->Start().ok());
+    nodes.push_back(std::move(h));
+  }
+
+  // Height 0, round 0 belongs to v0.
+  auto proposal_and_vote = [](const std::string& sender, int64_t amount,
+                              std::string* proposal, std::string* vote) {
+    std::string batch_payload;
+    EncodeBatch({MakeTxn("t", sender, 1, {Value::Int(amount)})},
+                &batch_payload);
+    PutVarint64(proposal, 0);
+    PutVarint32(proposal, 0);
+    PutLengthPrefixed(proposal, batch_payload);
+    PutVarint64(vote, 0);
+    PutVarint32(vote, 0);
+    const Hash256 digest = BatchDigest(batch_payload);
+    vote->append(reinterpret_cast<const char*>(digest.bytes.data()), 32);
+  };
+  std::string proposal_a, vote_a, proposal_b, vote_b;
+  proposal_and_vote("alice", 1, &proposal_a, &vote_a);
+  proposal_and_vote("bob", 2, &proposal_b, &vote_b);
+
+  for (const auto& target : {"v1", "v2"}) {
+    net.Send({"tm.proposal", "v0", target, proposal_a});
+    net.Send({"tm.prevote", "v0", target, vote_a});
+    net.Send({"tm.precommit", "v0", target, vote_a});
+  }
+  net.DrainAll();  // v1 and v2 commit A; their A votes reach v3
+  ASSERT_EQ(nodes[0]->engine->committed_batches(), 1u);
+  ASSERT_EQ(nodes[1]->engine->committed_batches(), 1u);
+
+  net.Send({"tm.proposal", "v0", "v3", proposal_b});
+  net.Send({"tm.prevote", "v0", "v3", vote_b});
+  net.Send({"tm.precommit", "v0", "v3", vote_b});
+  net.DrainAll();
+
+  const auto reference = nodes[0]->log.batches();
+  ASSERT_EQ(reference.count(0), 1u);
+  for (auto& node : nodes) {
+    for (const auto& [seq, batch] : node->log.batches()) {
+      auto it = reference.find(seq);
+      if (it != reference.end()) {
+        EXPECT_EQ(batch, it->second) << node->id << " at height " << seq;
+      }
+    }
+  }
+  EXPECT_EQ(nodes[2]->engine->committed_batches(), 0u);
   for (auto& node : nodes) node->engine->Stop();
 }
 

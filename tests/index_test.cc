@@ -219,11 +219,19 @@ TEST(LayeredIndexTest, ContinuousCandidateFiltering) {
   ASSERT_TRUE(index.SearchBlock(1, &lo, &hi, &pointers).ok());
   EXPECT_EQ(pointers.size(), 11u);  // 510..520 inclusive
 
-  std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
-  ASSERT_TRUE(index.Tree(2, &tree).ok());
-  EXPECT_EQ(tree, nullptr);  // block 2 has no entries for this index
-  ASSERT_TRUE(index.Tree(0, &tree).ok());
-  EXPECT_NE(tree, nullptr);
+  // Block 2 has no entries for this index; block 0 walks 0..99 in order.
+  LayeredIndex::Cursor empty = index.Seek(2, nullptr);
+  EXPECT_FALSE(empty.Valid());
+  EXPECT_TRUE(empty.status().ok());
+  LayeredIndex::Cursor it = index.Seek(0, nullptr);
+  int64_t want = 0;
+  for (; it.Valid(); it.Next(), want++) {
+    EXPECT_EQ(it.key(), Value::Int(want));
+    EXPECT_EQ(it.value(), static_cast<uint32_t>(want));
+  }
+  EXPECT_TRUE(it.status().ok());
+  EXPECT_EQ(want, 100);
+  EXPECT_TRUE(index.Seek(3, nullptr).status().IsInvalidArgument());
   Bitmap with_entries = index.BlocksWithEntries();
   EXPECT_TRUE(with_entries.Test(0));
   EXPECT_FALSE(with_entries.Test(2));

@@ -33,6 +33,7 @@ namespace {
 
 using testing_util::MakeTxn;
 using testing_util::ScratchDir;
+using testing_util::SecondLevelEntries;
 
 Block MakeBlock(BlockId height, TransactionId first_tid, int num_txns) {
   BlockBuilder builder;
@@ -171,13 +172,11 @@ TEST(BlockStoreLockingTest, ConcurrentOpenSerializes) {
   ASSERT_TRUE(store.Close().ok());
 }
 
-// Pre-fix: Tree() built the materialized-tree LruCache on first use of a
-// frozen block, in a const method with no lock, so the parallel on/off join
-// workers faulting trees of a checkpoint-restored index raced on the cache
-// pointer; the ALI twin's rebuilt MB-tree cache had the same shape. Both
-// caches are now built in the constructor. Four threads fault the same
-// frozen blocks' layered trees and rebuild their MB-trees, and must all see
-// the same trees.
+// Four threads walk the same checkpoint-restored frozen blocks' second
+// levels through cursors (each pins pages of the shared buffer pool) and
+// rebuild their MB-trees through the ALI's shared rebuilt-tree cache, from
+// const methods with no caller-side lock, and must all see the same
+// entries and roots.
 TEST(LayeredIndexLockingTest, ConcurrentTreeOnRestoredFrozenBlocks) {
   ScratchDir dir("locking_tree");
   ChainOptions options;
@@ -209,19 +208,18 @@ TEST(LayeredIndexLockingTest, ConcurrentTreeOnRestoredFrozenBlocks) {
   const uint64_t frozen = index->frozen_end();
   ASSERT_EQ(frozen, static_cast<uint64_t>(kBlocks) + 1);  // + genesis
 
-  std::vector<std::vector<size_t>> sizes(4);
+  std::vector<std::vector<std::vector<std::string>>> entries(4);
   std::vector<std::vector<std::string>> roots(4);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; t++) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < 3; round++) {
         for (BlockId bid = 0; bid < frozen; bid++) {
-          std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
-          ASSERT_TRUE(index->Tree(bid, &tree).ok());
+          std::vector<std::string> walked = SecondLevelEntries(*index, bid);
           std::shared_ptr<const MbTree> mb;
           ASSERT_TRUE(ali->Tree(bid, &mb).ok());
           if (round == 0) {
-            sizes[t].push_back(tree ? tree->size() : 0);
+            entries[t].push_back(std::move(walked));
             roots[t].push_back(mb ? mb->root_hash().ToHex() : "");
           }
         }
@@ -230,11 +228,13 @@ TEST(LayeredIndexLockingTest, ConcurrentTreeOnRestoredFrozenBlocks) {
   }
   for (auto& t : threads) t.join();
   for (int t = 0; t < 4; t++) {
-    ASSERT_EQ(sizes[t].size(), frozen);
-    EXPECT_EQ(sizes[t], sizes[0]);
+    ASSERT_EQ(entries[t].size(), frozen);
+    EXPECT_EQ(entries[t], entries[0]);
     EXPECT_EQ(roots[t], roots[0]);
-    EXPECT_EQ(sizes[t][0], 0u);  // genesis holds no transactions
-    for (uint64_t bid = 1; bid < frozen; bid++) EXPECT_EQ(sizes[t][bid], 8u);
+    EXPECT_TRUE(entries[t][0].empty());  // genesis holds no transactions
+    for (uint64_t bid = 1; bid < frozen; bid++) {
+      EXPECT_EQ(entries[t][bid].size(), 8u);
+    }
   }
   ASSERT_TRUE(chain.Close().ok());
 }

@@ -23,6 +23,7 @@ namespace {
 
 using testing_util::MakeTxn;
 using testing_util::ScratchDir;
+using testing_util::SecondLevelEntries;
 
 // One chain variant: a scratch dir, its own pool (when threaded) and chain.
 struct Variant {
@@ -315,20 +316,8 @@ std::unique_ptr<Reference> BuildReference(ChainManager* chain,
   return ref;
 }
 
-// A block's second-level tree as "value@position" in leaf order.
-std::vector<std::string> TreeEntries(const LayeredIndex& index, BlockId bid) {
-  std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
-  EXPECT_TRUE(index.Tree(bid, &tree).ok()) << bid;
-  std::vector<std::string> out;
-  if (tree == nullptr) return out;
-  for (auto it = tree->Begin(); it.Valid(); it.Next()) {
-    out.push_back(it.key().ToString() + "@" + std::to_string(it.value()));
-  }
-  return out;
-}
-
-// `chain`'s indexes match the serial reference: every block's second-level
-// tree, and the candidate bitmaps and ALI digests of every probe.
+// `chain`'s indexes match the serial reference: every block's second
+// level, and the candidate bitmaps and ALI digests of every probe.
 void ExpectMatchesReference(ChainManager* chain, const Reference& ref) {
   IndexSet* set = chain->indexes();
   auto lookup = [&](const std::string& name)
@@ -344,7 +333,8 @@ void ExpectMatchesReference(ChainManager* chain, const Reference& ref) {
     ASSERT_NE(layered, nullptr);
     ASSERT_EQ(want->layered.num_blocks(), layered->num_blocks());
     for (BlockId bid = 0; bid < layered->num_blocks(); bid++) {
-      EXPECT_EQ(TreeEntries(want->layered, bid), TreeEntries(*layered, bid))
+      EXPECT_EQ(SecondLevelEntries(want->layered, bid),
+                SecondLevelEntries(*layered, bid))
           << "block " << bid;
     }
   }

@@ -1,7 +1,8 @@
 // Unit coverage of the persistence subsystem beneath index checkpoints:
 // page framing (CRC / magic / size validation), the BufferManager (pin,
 // fault, LRU eviction, dirty retention, flush, stats), the disk-resident
-// bulk-loaded B+-tree against an in-memory reference, and the
+// bulk-loaded B+-tree against an in-memory reference (and the entry count
+// a restored layered index checks against its pages), and the
 // CheckpointManager's shadow-paging manifest protocol (publish, torn-tail
 // truncation, fallback to the previous usable record, orphan GC).
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "common/coding.h"
 #include "common/env.h"
+#include "index/layered_index.h"
 #include "storage/buffer_manager.h"
 #include "storage/checkpoint.h"
 #include "storage/disk_bptree.h"
@@ -484,6 +486,56 @@ TEST(DiskBpTreeTest, LeafCountPastPayloadIsCorruption) {
   tree.RangeScan(0, 100, &got, &s);
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_EQ(pool.stats().pinned, 0u);
+}
+
+// A frozen block's cursor, walked from its first entry to a clean end,
+// holds the tree to the entry count its checkpoint recorded: a state blob
+// whose count is off restores, but walking that block reports Corruption.
+TEST(LayeredIndexRestoreTest, FrozenEntryCountMismatchIsCorruption) {
+  ScratchDir dir("frozen_count");
+  BufferManager pool = MakePool(1 << 20);
+  BufferManager::FileId file;
+  ASSERT_TRUE(pool.CreateFile(dir.path() + "/senid", &file).ok());
+  LayeredIndexOptions options;
+  options.discrete = true;
+  auto extractor = [](const Transaction&, Value*) { return false; };
+  LayeredIndex index("sys.senid", options, extractor);
+  for (uint64_t b = 0; b < 2; b++) {
+    std::vector<std::pair<Value, uint32_t>> entries;
+    for (uint32_t i = 0; i < 5; i++) {
+      entries.emplace_back(Value::Str("s" + std::to_string(i)), i);
+    }
+    ASSERT_TRUE(index.MergeTxnDeltas(b, std::move(entries)).ok());
+  }
+  std::vector<LayeredIndex::FrozenTreeRef> refs;
+  ASSERT_TRUE(index.WriteFrozenDelta(&pool, file, 2, &refs).ok());
+  ASSERT_TRUE(pool.Flush(file).ok());
+  ASSERT_EQ(refs.size(), 2u);
+  refs[1].entries++;  // block 1 claims one entry more than its pages hold
+  std::string state;
+  index.EncodeCheckpointState(refs, &state);
+
+  LayeredIndex restored("sys.senid", options, extractor);
+  ASSERT_TRUE(restored.RestoreCheckpoint(&pool, {file}, state).ok());
+  ASSERT_EQ(restored.frozen_end(), 2u);
+  std::vector<TxnPointer> ptrs;
+  ASSERT_TRUE(restored.SearchBlock(0, nullptr, nullptr, &ptrs).ok());
+  EXPECT_EQ(ptrs.size(), 5u);
+
+  LayeredIndex::Cursor it = restored.Seek(1, nullptr);
+  size_t walked = 0;
+  for (; it.Valid(); it.Next()) walked++;
+  EXPECT_EQ(walked, 5u);
+  EXPECT_TRUE(it.status().IsCorruption()) << it.status().ToString();
+  ptrs.clear();
+  EXPECT_TRUE(restored.SearchBlock(1, nullptr, nullptr, &ptrs).IsCorruption());
+
+  // A walk from a seek key never saw the start, so it is not held to the
+  // count.
+  Value lo = Value::Str("s3");
+  ptrs.clear();
+  ASSERT_TRUE(restored.SearchBlock(1, &lo, nullptr, &ptrs).ok());
+  EXPECT_EQ(ptrs.size(), 2u);
 }
 
 TEST(DiskBpTreeTest, SeekFindsFirstDuplicateAcrossLeafBoundary) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/chain_manager.h"
+#include "index/layered_index.h"
 #include "storage/file.h"
 #include "types/transaction.h"
 
@@ -45,6 +46,20 @@ inline Transaction MakeTxn(const std::string& tname,
   txn.set_ts(ts);
   txn.set_signature("test-sig");
   return txn;
+}
+
+/// A block's second level as "value@position" in cursor order; a cursor
+/// error fails the calling test.
+inline std::vector<std::string> SecondLevelEntries(const LayeredIndex& index,
+                                                   BlockId bid) {
+  std::vector<std::string> out;
+  LayeredIndex::Cursor it = index.Seek(bid, nullptr);
+  for (; it.Valid(); it.Next()) {
+    out.push_back(it.key().ToString() + "@" + std::to_string(it.value()));
+  }
+  EXPECT_TRUE(it.status().ok())
+      << index.name() << " block " << bid << ": " << it.status().ToString();
+  return out;
 }
 
 /// A chain opened in a scratch dir with signature verification off; append
