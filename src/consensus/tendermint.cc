@@ -255,6 +255,7 @@ void TendermintEngine::OnPrevote(const Message& message) {
   }
   MutexLock lock(&mu_);
   if (!running_ || height != height_ || round != round_) return;
+  if (!IsParticipant(message.from)) return;
   round_state_.prevotes.emplace(message.from, digest);
   MaybePrecommitLocked();
 }
@@ -280,6 +281,7 @@ void TendermintEngine::OnPrecommit(const Message& message) {
   }
   MutexLock lock(&mu_);
   if (!running_ || height != height_ || round != round_) return;
+  if (!IsParticipant(message.from)) return;
   round_state_.precommits.emplace(message.from, digest);
   MaybeCommitLocked();
 }

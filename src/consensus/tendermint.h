@@ -80,6 +80,13 @@ class TendermintEngine : public ConsensusEngine {
   int QuorumSize() const {  // strictly more than 2/3
     return static_cast<int>(participants_.size() * 2 / 3) + 1;
   }
+  // Only validators vote: a vote under any other sender id is dropped, so
+  // outsiders cannot fill a quorum. (A frame's `from` is still self-declared;
+  // a forged vote under a real validator id needs signed votes to reject.)
+  bool IsParticipant(const std::string& id) const {
+    return std::find(participants_.begin(), participants_.end(), id) !=
+           participants_.end();
+  }
 
   void OnTx(const Message& message);
   void OnProposal(const Message& message);

@@ -12,6 +12,13 @@ void ColumnBindings::AddTable(const std::string& table,
   }
 }
 
+std::vector<std::string> ColumnNames(const std::vector<ColumnDef>& columns) {
+  std::vector<std::string> names;
+  names.reserve(columns.size());
+  for (const auto& column : columns) names.push_back(column.name);
+  return names;
+}
+
 Status ColumnBindings::Resolve(const ColumnRef& ref, int* index) const {
   if (!ref.table.empty()) {
     auto it = by_qualified_.find(ref.table + "." + ref.column);

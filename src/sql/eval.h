@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "sql/ast.h"
+#include "types/schema.h"
 #include "types/value.h"
 
 namespace sebdb {
@@ -32,6 +33,9 @@ class ColumnBindings {
   std::map<std::string, std::vector<int>> by_column_;  // unqualified
   std::map<std::string, int> by_qualified_;
 };
+
+/// The names of `columns` (a schema's or an off-chain table's), in order.
+std::vector<std::string> ColumnNames(const std::vector<ColumnDef>& columns);
 
 /// Evaluates an expression against a row. Parameters come from `params`
 /// (bound positionally). Boolean-valued expressions yield Value::Bool;

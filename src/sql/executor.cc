@@ -3,15 +3,18 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "sql/block_pipeline.h"
 #include "sql/cost_model.h"
-#include "sql/executor_internal.h"
 #include "sql/parser.h"
 
 namespace sebdb {
 
 using sql_internal::AllBlocksBitmap;
-using sql_internal::OffchainColumnNames;
-using sql_internal::SchemaColumnNames;
+using sql_internal::BlockPipeline;
+using sql_internal::PositionProbe;
+using sql_internal::RowFilter;
+using sql_internal::RowVec;
+using sql_internal::TxnToRow;
 
 namespace {
 
@@ -103,14 +106,6 @@ Status Executor::ResolveWindow(const std::optional<TimeWindow>& window,
   if (!s.ok()) return s;
   *out = indexes_->block_index().BlocksInWindow(start_ts, end_ts);
   return Status::OK();
-}
-
-std::vector<Value> Executor::TxnToRow(const Transaction& txn,
-                                      int num_columns) {
-  std::vector<Value> row;
-  row.reserve(num_columns);
-  for (int i = 0; i < num_columns; i++) row.push_back(txn.GetColumn(i));
-  return row;
 }
 
 namespace {
@@ -320,7 +315,7 @@ Status Executor::ExecSingleTable(const SelectStmt& stmt,
   if (!s.ok()) return s;
 
   ColumnBindings bindings;
-  bindings.AddTable(table, SchemaColumnNames(schema));
+  bindings.AddTable(table, ColumnNames(schema.columns()));
   result->columns = bindings.qualified_names();
 
   std::optional<Bitmap> window;
@@ -350,6 +345,11 @@ Status Executor::ExecSingleTable(const SelectStmt& stmt,
     }
   }
 
+  const Value* lo =
+      range.has_value() && range->lo.has_value() ? &*range->lo : nullptr;
+  const Value* hi =
+      range.has_value() && range->hi.has_value() ? &*range->hi : nullptr;
+
   // Cost-based choice (paper Eqs. 1-3): the layered index pays one random
   // read per result tuple, so for large results the bitmap's sequential
   // block reads win.
@@ -365,10 +365,7 @@ Status Executor::ExecSingleTable(const SelectStmt& stmt,
   AccessPathCosts costs = EstimateSelectCosts(
       store_->num_blocks(),
       indexes_->table_index().BlocksWithTable(table).Count(),
-      range.has_value() ? layered : nullptr,
-      range.has_value() && range->lo.has_value() ? &*range->lo : nullptr,
-      range.has_value() && range->hi.has_value() ? &*range->hi : nullptr,
-      cost_params);
+      range.has_value() ? layered : nullptr, lo, hi, cost_params);
   AccessPath path = options.access_path;
   if (path == AccessPath::kAuto) {
     path = (layered != nullptr && range.has_value() && costs.LayeredWins())
@@ -406,77 +403,29 @@ Status Executor::ExecSingleTable(const SelectStmt& stmt,
   }
   if (explain_only) return Status::OK();
 
-  const uint64_t n = store_->num_blocks();
-  auto row_passes = [&](const std::vector<Value>& row, bool* ok) -> Status {
-    if (stmt.where == nullptr) {
-      *ok = true;
-      return Status::OK();
-    }
-    return EvalPredicate(*stmt.where, bindings, row, options.params, ok);
-  };
-
-  using RowVec = std::vector<std::vector<Value>>;
-  std::vector<RowVec> buffers;
+  // Layered: candidates from the index's first level, then one probe of
+  // its second level. Bitmap and scan: the table's blocks (or all), read
+  // whole.
+  std::vector<PositionProbe> probes;
+  Bitmap candidates;
   if (path == AccessPath::kLayered) {
-    Bitmap candidates = layered->CandidateBlocks(
-        range.has_value() && range->lo.has_value() ? &*range->lo : nullptr,
-        range.has_value() && range->hi.has_value() ? &*range->hi : nullptr);
-    if (window.has_value()) candidates.And(*window);
-    const std::vector<size_t> bids = candidates.SetBits();
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
-        [&](size_t i, RowVec* out) -> Status {
-          std::vector<TxnPointer> pointers;
-          Status ps = layered->SearchBlock(
-              bids[i],
-              range.has_value() && range->lo.has_value() ? &*range->lo
-                                                         : nullptr,
-              range.has_value() && range->hi.has_value() ? &*range->hi
-                                                         : nullptr,
-              &pointers);
-          if (!ps.ok()) return ps;
-          for (const auto& pointer : pointers) {
-            std::shared_ptr<const Transaction> txn;
-            ps = store_->ReadTransaction(pointer.block, pointer.index, &txn);
-            if (!ps.ok()) return ps;
-            std::vector<Value> row = TxnToRow(*txn, schema.num_columns());
-            bool ok;
-            ps = row_passes(row, &ok);
-            if (!ps.ok()) return ps;
-            if (ok) out->push_back(std::move(row));
-          }
-          return Status::OK();
-        },
-        &buffers);
-    if (!s.ok()) return s;
+    candidates = layered->CandidateBlocks(lo, hi);
+    probes.push_back({layered, lo, hi});
+  } else if (path == AccessPath::kBitmap) {
+    candidates = indexes_->table_index().BlocksWithTable(table);
   } else {
-    Bitmap blocks = path == AccessPath::kBitmap
-                        ? indexes_->table_index().BlocksWithTable(table)
-                        : AllBlocksBitmap(n);
-    if (window.has_value()) blocks.And(*window);
-    const std::vector<size_t> bids = blocks.SetBits();
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
-        [&](size_t i, RowVec* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn.tname() != table) continue;
-            std::vector<Value> row = TxnToRow(txn, schema.num_columns());
-            bool ok;
-            ps = row_passes(row, &ok);
-            if (!ps.ok()) return ps;
-            if (ok) out->push_back(std::move(row));
-          }
-          return Status::OK();
-        },
-        &buffers);
-    if (!s.ok()) return s;
+    candidates = AllBlocksBitmap(store_->num_blocks());
   }
-  for (auto& buffer : buffers) {
-    for (auto& row : buffer) result->rows.push_back(std::move(row));
-  }
+  if (window.has_value()) candidates.And(*window);
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
+  s = BlockPipeline(store_, pool_).Collect(
+      candidates, probes,
+      [&](const Transaction& txn, RowVec* out) -> Status {
+        if (txn.tname() != table) return Status::OK();
+        return filter.Keep(TxnToRow(txn, schema.num_columns()), out);
+      },
+      &result->rows);
+  if (!s.ok()) return s;
   return Project(stmt, bindings, result);
 }
 
@@ -492,7 +441,7 @@ Status Executor::ExecOffchainOnly(const SelectStmt& stmt,
   if (!s.ok()) return s;
 
   ColumnBindings bindings;
-  bindings.AddTable(table, OffchainColumnNames(columns));
+  bindings.AddTable(table, ColumnNames(columns));
   result->columns = bindings.qualified_names();
   result->plan = "OffchainScan(" + table + ")";
   if (explain_only) return Status::OK();
@@ -500,13 +449,10 @@ Status Executor::ExecOffchainOnly(const SelectStmt& stmt,
   std::vector<OffchainRow> rows;
   s = offchain_->FetchAll(table, &rows);
   if (!s.ok()) return s;
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
   for (auto& row : rows) {
-    bool ok = true;
-    if (stmt.where != nullptr) {
-      s = EvalPredicate(*stmt.where, bindings, row, options.params, &ok);
-      if (!s.ok()) return s;
-    }
-    if (ok) result->rows.push_back(std::move(row));
+    s = filter.Keep(std::move(row), &result->rows);
+    if (!s.ok()) return s;
   }
   return Project(stmt, bindings, result);
 }
@@ -549,124 +495,44 @@ Status Executor::ExecTrace(const TraceStmt& stmt, const ExecOptions& options,
   result->columns = {"tid", "ts", "senid", "tname", "data"};
   if (explain_only) return Status::OK();
 
-  const uint64_t n = store_->num_blocks();
-  auto txn_matches = [&](const Transaction& txn) {
-    if (has_operator && txn.sender() != operator_id) return false;
-    if (has_operation && txn.tname() != operation) return false;
-    return true;
-  };
-  auto txn_to_row = [](const Transaction& txn) {
-    std::string data;
-    for (size_t i = 0; i < txn.values().size(); i++) {
-      if (i > 0) data += ", ";
-      data += txn.values()[i].ToString();
-    }
-    return std::vector<Value>{Value::Int(static_cast<int64_t>(txn.tid())),
-                              Value::Ts(txn.ts()), Value::Str(txn.sender()),
-                              Value::Str(txn.tname()), Value::Str(data)};
-  };
-  using RowVec = std::vector<std::vector<Value>>;
-  std::vector<RowVec> buffers;
-  auto merge_buffers = [&] {
-    for (auto& buffer : buffers) {
-      for (auto& row : buffer) result->rows.push_back(std::move(row));
-    }
-  };
-
-  if (path == AccessPath::kScan || path == AccessPath::kBitmap) {
-    Bitmap blocks = window.has_value() ? *window : AllBlocksBitmap(n);
-    if (path == AccessPath::kBitmap) {
-      // Bitmap method: filter through the first-level bitmaps of the system
-      // SenID/Tname indices, then read the surviving blocks whole.
-      if (has_operator) {
-        blocks.And(
-            indexes_->senid_index()->BlocksWithValue(Value::Str(operator_id)));
-      }
-      if (has_operation) {
-        blocks.And(
-            indexes_->tname_index()->BlocksWithValue(Value::Str(operation)));
-      }
-    }
-    const std::vector<size_t> bids = blocks.SetBits();
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
-        [&](size_t i, RowVec* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn_matches(txn)) out->push_back(txn_to_row(txn));
-          }
-          return Status::OK();
-        },
-        &buffers);
-    if (!s.ok()) return s;
-    merge_buffers();
-    return Status::OK();
+  // Scan reads every block (in the window) whole. Bitmap filters through
+  // the first-level bitmaps of the system SenID/Tname indices, then reads the
+  // surviving blocks whole. Layered applies the same first-level filter
+  // (paper Alg. 1 lines 1-5), then probes each block's second level per
+  // dimension, intersects the position sets and random-reads only the
+  // result transactions (lines 6-13).
+  const Value operator_key = Value::Str(operator_id);
+  const Value operation_key = Value::Str(operation);
+  Bitmap candidates =
+      window.has_value() ? *window : AllBlocksBitmap(store_->num_blocks());
+  const bool probe = path == AccessPath::kLayered;
+  std::vector<PositionProbe> probes;
+  if (path != AccessPath::kScan && has_operator) {
+    LayeredIndex* senid = indexes_->senid_index();
+    candidates.And(senid->BlocksWithValue(operator_key));
+    if (probe) probes.push_back({senid, &operator_key, &operator_key});
   }
-
-  // Layered method: the same first-level bitmap filter (paper Alg. 1 lines
-  // 1-5), then a second-level search per block, intersect the position sets
-  // of the two dimensions, and random-read only the result transactions
-  // (paper Alg. 1 lines 6-13).
-  Bitmap blocks = window.has_value() ? *window : AllBlocksBitmap(n);
-  if (has_operator) {
-    blocks.And(indexes_->senid_index()->BlocksWithValue(Value::Str(operator_id)));
+  if (path != AccessPath::kScan && has_operation) {
+    LayeredIndex* tname = indexes_->tname_index();
+    candidates.And(tname->BlocksWithValue(operation_key));
+    if (probe) probes.push_back({tname, &operation_key, &operation_key});
   }
-  if (has_operation) {
-    blocks.And(indexes_->tname_index()->BlocksWithValue(Value::Str(operation)));
-  }
-
-  const std::vector<size_t> bids = blocks.SetBits();
-  s = sql_internal::ParallelMapOrdered<RowVec>(
-      pool_, bids.size(),
-      [&](size_t i, RowVec* out) -> Status {
-        const size_t bid = bids[i];
-        std::vector<uint32_t> positions;
-        Status ps;
-        if (has_operator) {
-          std::vector<TxnPointer> pointers;
-          Value key = Value::Str(operator_id);
-          ps = indexes_->senid_index()->SearchBlock(bid, &key, &key, &pointers);
-          if (!ps.ok()) return ps;
-          for (const auto& pointer : pointers) {
-            positions.push_back(pointer.index);
-          }
+  return BlockPipeline(store_, pool_).Collect(
+      candidates, probes,
+      [&](const Transaction& txn, RowVec* out) -> Status {
+        if (has_operator && txn.sender() != operator_id) return Status::OK();
+        if (has_operation && txn.tname() != operation) return Status::OK();
+        std::string data;
+        for (size_t i = 0; i < txn.values().size(); i++) {
+          if (i > 0) data += ", ";
+          data += txn.values()[i].ToString();
         }
-        if (has_operation) {
-          std::vector<TxnPointer> pointers;
-          Value key = Value::Str(operation);
-          ps = indexes_->tname_index()->SearchBlock(bid, &key, &key, &pointers);
-          if (!ps.ok()) return ps;
-          std::vector<uint32_t> op_positions;
-          for (const auto& pointer : pointers) {
-            op_positions.push_back(pointer.index);
-          }
-          if (has_operator) {
-            std::sort(positions.begin(), positions.end());
-            std::sort(op_positions.begin(), op_positions.end());
-            std::vector<uint32_t> both;
-            std::set_intersection(positions.begin(), positions.end(),
-                                  op_positions.begin(), op_positions.end(),
-                                  std::back_inserter(both));
-            positions = std::move(both);
-          } else {
-            positions = std::move(op_positions);
-          }
-        }
-        std::sort(positions.begin(), positions.end());
-        for (uint32_t position : positions) {
-          std::shared_ptr<const Transaction> txn;
-          ps = store_->ReadTransaction(bid, position, &txn);
-          if (!ps.ok()) return ps;
-          out->push_back(txn_to_row(*txn));
-        }
+        out->push_back({Value::Int(static_cast<int64_t>(txn.tid())),
+                        Value::Ts(txn.ts()), Value::Str(txn.sender()),
+                        Value::Str(txn.tname()), Value::Str(data)});
         return Status::OK();
       },
-      &buffers);
-  if (!s.ok()) return s;
-  merge_buffers();
-  return Status::OK();
+      &result->rows);
 }
 
 Status Executor::ExecGetBlock(const GetBlockStmt& stmt,

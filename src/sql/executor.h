@@ -6,7 +6,12 @@
 //
 // Access paths implement the three methods the paper benchmarks side by
 // side (scan / table-level bitmap / layered index), selectable per query
-// through ExecOptions for the method-comparison figures.
+// through ExecOptions for the method-comparison figures. Whatever the
+// plan, its rows come from the one candidate-block pipeline
+// (sql/block_pipeline.h): a candidate bitmap, zero or more second-level
+// position probes per block, and one row source that reads whole blocks or
+// single transactions, joined back in candidate order. Rows within a block
+// come out in ascending position on every path.
 #pragma once
 
 #include <string>
@@ -47,10 +52,10 @@ struct ExecOptions {
 
 class Executor {
  public:
-  /// `pool` drives the parallel scan pipeline: candidate blocks fan out to
+  /// `pool` drives the candidate-block pipeline: candidate blocks fan out to
   /// workers that read + decode + filter into per-block row buffers, merged
-  /// back in (block, index) order so output is byte-identical to the serial
-  /// path. nullptr executes every scan serially.
+  /// back in (block, position) order so output is byte-identical to the
+  /// serial path. nullptr executes every query serially.
   Executor(BlockStore* store, IndexSet* indexes, Catalog* catalog,
            OffchainConnector* offchain, ThreadPool* pool = nullptr)
       : store_(store),
@@ -93,9 +98,6 @@ class Executor {
   Status ResolveWindow(const std::optional<TimeWindow>& window,
                        const std::vector<Value>& params,
                        std::optional<Bitmap>* out) const;
-
-  /// Appends a transaction as a full schema row (system + app columns).
-  static std::vector<Value> TxnToRow(const Transaction& txn, int num_columns);
 
   /// Applies projection to assembled rows (in place on `result`).
   Status Project(const SelectStmt& stmt, const ColumnBindings& bindings,

@@ -3,14 +3,36 @@
 // full scan, hash join over bitmap-filtered blocks, and layered-index
 // sort-merge over block pairs that may produce results.
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
+#include "sql/block_pipeline.h"
 #include "sql/executor.h"
-#include "sql/executor_internal.h"
 
 namespace sebdb {
 
-namespace sql_internal {
+using sql_internal::AllBlocksBitmap;
+using sql_internal::BlockPipeline;
+using sql_internal::RowFilter;
+using sql_internal::RowVec;
+using sql_internal::TxnToRow;
+
+namespace {
+
+struct ValueHash {
+  size_t operator()(const Value& v) const { return v.HashCode(); }
+};
+struct ValueEq {
+  bool operator()(const Value& a, const Value& b) const {
+    return a.CompareTotal(b) == 0;
+  }
+};
+
+/// Value range covered by one set bucket: (lo, hi], open at the extremes.
+struct ValueRange {
+  std::optional<Value> lo;  // exclusive
+  std::optional<Value> hi;  // inclusive
+};
 
 std::vector<ValueRange> BucketRangesOf(const LayeredIndex& index,
                                        BlockId bid) {
@@ -41,6 +63,7 @@ bool RangesOverlap(const ValueRange& a, const ValueRange& b) {
   return true;
 }
 
+// intersect(b_r, b_s) for continuous join attributes (paper Alg. 2).
 bool BlocksIntersectContinuous(const LayeredIndex& ir, BlockId br,
                                const LayeredIndex& is, BlockId bs) {
   std::vector<ValueRange> ar = BucketRangesOf(ir, br);
@@ -58,6 +81,7 @@ bool BlocksIntersectContinuous(const LayeredIndex& ir, BlockId br,
   return false;
 }
 
+// intersect(b_r, (lo, hi)) for the on-off join (paper Alg. 3).
 bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
                           const Value& lo, const Value& hi) {
   if (index.options().discrete) {
@@ -79,18 +103,6 @@ bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
   return buckets != nullptr &&
          buckets->Test(index.histogram().BucketOf(lo));
 }
-
-}  // namespace sql_internal
-
-using sql_internal::AllBlocksBitmap;
-using sql_internal::BlockIntersectsRange;
-using sql_internal::BlocksIntersectContinuous;
-using sql_internal::OffchainColumnNames;
-using sql_internal::SchemaColumnNames;
-using sql_internal::ValueEq;
-using sql_internal::ValueHash;
-
-namespace {
 
 const char* StrategyName(JoinStrategy strategy) {
   switch (strategy) {
@@ -151,6 +163,21 @@ std::vector<Value> ConcatRows(const std::vector<Value>& a,
   return out;
 }
 
+// Reads the run of entries equal to the cursor's key as full schema rows,
+// one read per transaction, and leaves the cursor past the run.
+Status ReadGroup(const BlockPipeline& pipeline, BlockId bid,
+                 LayeredIndex::Cursor* it, int num_columns, RowVec* rows) {
+  const Value key = it->key();
+  std::vector<uint32_t> positions;
+  for (; it->Valid() && it->key().CompareTotal(key) == 0; it->Next()) {
+    positions.push_back(it->value());
+  }
+  return pipeline.ForEachTxn(bid, &positions, [&](const Transaction& txn) {
+    rows->push_back(TxnToRow(txn, num_columns));
+    return Status::OK();
+  });
+}
+
 }  // namespace
 
 Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
@@ -174,8 +201,8 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
   }
 
   ColumnBindings bindings;
-  bindings.AddTable(left, SchemaColumnNames(left_schema));
-  bindings.AddTable(right, SchemaColumnNames(right_schema));
+  bindings.AddTable(left, ColumnNames(left_schema.columns()));
+  bindings.AddTable(right, ColumnNames(right_schema.columns()));
   result->columns = bindings.qualified_names();
 
   std::optional<Bitmap> window;
@@ -201,24 +228,12 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
   if (window.has_value()) result->plan += " window";
   if (explain_only) return Status::OK();
 
-  const uint64_t n = store_->num_blocks();
-  // Concatenate + filter one joined row into `out`. Workers pass private
-  // buffers; the buffers are merged in candidate order afterwards so the
+  // Joined rows pass the WHERE filter. Parallel phases fill private
+  // per-unit buffers that the pipeline joins back in unit order, so the
   // result is byte-identical to the serial nested loop.
-  auto emit = [&](const std::vector<Value>& lrow,
-                  const std::vector<Value>& rrow,
-                  std::vector<std::vector<Value>>* out) -> Status {
-    std::vector<Value> row = ConcatRows(lrow, rrow);
-    bool ok = true;
-    if (stmt.where != nullptr) {
-      Status es =
-          EvalPredicate(*stmt.where, bindings, row, options.params, &ok);
-      if (!es.ok()) return es;
-    }
-    if (ok) out->push_back(std::move(row));
-    return Status::OK();
-  };
-  using RowVec = std::vector<std::vector<Value>>;
+  const uint64_t n = store_->num_blocks();
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
+  const BlockPipeline pipeline(store_, pool_);
 
   if (strategy == JoinStrategy::kScanHash ||
       strategy == JoinStrategy::kBitmapHash) {
@@ -242,25 +257,23 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
     };
     const std::vector<size_t> bids = blocks.SetBits();
     std::vector<Partition> parts;
-    s = sql_internal::ParallelMapOrdered<Partition>(
-        pool_, bids.size(),
+    s = pipeline.Map<Partition>(
+        bids.size(),
         [&](size_t i, Partition* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn.tname() == left) {
-              Value key = txn.GetColumn(left_idx);
-              out->left.emplace_back(std::move(key),
-                                     TxnToRow(txn, left_schema.num_columns()));
-            }
-            if (txn.tname() == right) {
-              Value key = txn.GetColumn(right_idx);
-              out->right.emplace_back(
-                  std::move(key), TxnToRow(txn, right_schema.num_columns()));
-            }
-          }
-          return Status::OK();
+          return pipeline.ForEachTxn(
+              bids[i], nullptr, [&](const Transaction& txn) -> Status {
+                if (txn.tname() == left) {
+                  out->left.emplace_back(
+                      txn.GetColumn(left_idx),
+                      TxnToRow(txn, left_schema.num_columns()));
+                }
+                if (txn.tname() == right) {
+                  out->right.emplace_back(
+                      txn.GetColumn(right_idx),
+                      TxnToRow(txn, right_schema.num_columns()));
+                }
+                return Status::OK();
+              });
         },
         &parts);
     if (!s.ok()) return s;
@@ -279,7 +292,7 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
     for (const auto& [key, lrow] : left_rows) {
       auto [begin, end] = right_rows.equal_range(key);
       for (auto it = begin; it != end; ++it) {
-        s = emit(lrow, it->second, &result->rows);
+        s = filter.Keep(ConcatRows(lrow, it->second), &result->rows);
         if (!s.ok()) return s;
       }
     }
@@ -335,16 +348,14 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
 
   // Each surviving pair sort-merges independently into a private buffer;
   // buffers are concatenated in pair order.
-  std::vector<RowVec> buffers;
-  s = sql_internal::ParallelMapOrdered<RowVec>(
-      pool_, pairs.size(),
+  s = pipeline.Run(
+      pairs.size(),
       [&](size_t i, RowVec* out) -> Status {
         const auto [br, bs] = pairs[i];
         // Sort-merge over the two blocks' second levels (cursors walk them
-        // in attribute order).
+        // in (attribute, position) order).
         LayeredIndex::Cursor lit = left_index->Seek(br, nullptr);
         LayeredIndex::Cursor rit = right_index->Seek(bs, nullptr);
-        Status ps;
         while (lit.Valid() && rit.Valid()) {
           int cmp = lit.key().CompareTotal(rit.key());
           if (cmp < 0) {
@@ -355,40 +366,27 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
             rit.Next();
             continue;
           }
-          // Equal keys: cross product of both duplicate groups.
-          Value key = lit.key();
-          std::vector<uint32_t> lpos, rpos;
-          while (lit.Valid() && lit.key().CompareTotal(key) == 0) {
-            lpos.push_back(lit.value());
-            lit.Next();
+          // Equal keys: each side's group is read once, then their cross
+          // product is emitted.
+          RowVec lrows, rrows;
+          Status ps = ReadGroup(pipeline, br, &lit, left_schema.num_columns(),
+                                &lrows);
+          if (ps.ok()) {
+            ps = ReadGroup(pipeline, bs, &rit, right_schema.num_columns(),
+                           &rrows);
           }
-          while (rit.Valid() && rit.key().CompareTotal(key) == 0) {
-            rpos.push_back(rit.value());
-            rit.Next();
-          }
-          for (uint32_t lp : lpos) {
-            std::shared_ptr<const Transaction> ltxn;
-            ps = store_->ReadTransaction(br, lp, &ltxn);
-            if (!ps.ok()) return ps;
-            std::vector<Value> lrow =
-                TxnToRow(*ltxn, left_schema.num_columns());
-            for (uint32_t rp : rpos) {
-              std::shared_ptr<const Transaction> rtxn;
-              ps = store_->ReadTransaction(bs, rp, &rtxn);
-              if (!ps.ok()) return ps;
-              ps = emit(lrow, TxnToRow(*rtxn, right_schema.num_columns()),
-                        out);
+          if (!ps.ok()) return ps;
+          for (const auto& lrow : lrows) {
+            for (const auto& rrow : rrows) {
+              ps = filter.Keep(ConcatRows(lrow, rrow), out);
               if (!ps.ok()) return ps;
             }
           }
         }
         return lit.status().ok() ? rit.status() : lit.status();
       },
-      &buffers);
+      &result->rows);
   if (!s.ok()) return s;
-  for (auto& buffer : buffers) {
-    for (auto& row : buffer) result->rows.push_back(std::move(row));
-  }
   return Project(stmt, bindings, result);
 }
 
@@ -435,11 +433,11 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
   // Output binding order follows the statement's table order.
   ColumnBindings bindings;
   if (left_is_off) {
-    bindings.AddTable(off_ref.name, OffchainColumnNames(off_columns));
-    bindings.AddTable(on_ref.name, SchemaColumnNames(on_schema));
+    bindings.AddTable(off_ref.name, ColumnNames(off_columns));
+    bindings.AddTable(on_ref.name, ColumnNames(on_schema.columns()));
   } else {
-    bindings.AddTable(on_ref.name, SchemaColumnNames(on_schema));
-    bindings.AddTable(off_ref.name, OffchainColumnNames(off_columns));
+    bindings.AddTable(on_ref.name, ColumnNames(on_schema.columns()));
+    bindings.AddTable(off_ref.name, ColumnNames(off_columns));
   }
   result->columns = bindings.qualified_names();
 
@@ -465,24 +463,16 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
   if (window.has_value()) result->plan += " window";
   if (explain_only) return Status::OK();
 
-  // As in ExecOnChainJoin: emit into a caller-supplied buffer so probe work
-  // can run on private per-block buffers, merged in block order.
+  // As in ExecOnChainJoin: joined rows in statement column order pass the
+  // filter into private per-block buffers, joined back in block order.
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
   auto emit = [&](const std::vector<Value>& on_row,
-                  const std::vector<Value>& off_row,
-                  std::vector<std::vector<Value>>* out) -> Status {
-    std::vector<Value> row = left_is_off ? ConcatRows(off_row, on_row)
-                                         : ConcatRows(on_row, off_row);
-    bool ok = true;
-    if (stmt.where != nullptr) {
-      Status es =
-          EvalPredicate(*stmt.where, bindings, row, options.params, &ok);
-      if (!es.ok()) return es;
-    }
-    if (ok) out->push_back(std::move(row));
-    return Status::OK();
+                  const std::vector<Value>& off_row, RowVec* out) {
+    return filter.Keep(left_is_off ? ConcatRows(off_row, on_row)
+                                   : ConcatRows(on_row, off_row),
+                       out);
   };
-  using RowVec = std::vector<std::vector<Value>>;
-
+  const BlockPipeline pipeline(store_, pool_);
   const uint64_t n = store_->num_blocks();
 
   if (strategy == JoinStrategy::kScanHash ||
@@ -502,31 +492,25 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
                         : indexes_->table_index().BlocksWithTable(on_ref.name);
     if (window.has_value()) blocks.And(*window);
     const std::vector<size_t> bids = blocks.SetBits();
-    std::vector<RowVec> buffers;
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
+    s = pipeline.Run(
+        bids.size(),
         [&](size_t i, RowVec* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn.tname() != on_ref.name) continue;
-            Value key = txn.GetColumn(on_idx);
-            auto [begin, end] = hash.equal_range(key);
-            if (begin == end) continue;
-            std::vector<Value> on_row = TxnToRow(txn, on_schema.num_columns());
-            for (auto it = begin; it != end; ++it) {
-              ps = emit(on_row, *it->second, out);
-              if (!ps.ok()) return ps;
-            }
-          }
-          return Status::OK();
+          return pipeline.ForEachTxn(
+              bids[i], nullptr, [&](const Transaction& txn) -> Status {
+                if (txn.tname() != on_ref.name) return Status::OK();
+                auto [begin, end] = hash.equal_range(txn.GetColumn(on_idx));
+                if (begin == end) return Status::OK();
+                std::vector<Value> on_row =
+                    TxnToRow(txn, on_schema.num_columns());
+                for (auto it = begin; it != end; ++it) {
+                  Status es = emit(on_row, *it->second, out);
+                  if (!es.ok()) return es;
+                }
+                return Status::OK();
+              });
         },
-        &buffers);
+        &result->rows);
     if (!s.ok()) return s;
-    for (auto& buffer : buffers) {
-      for (auto& row : buffer) result->rows.push_back(std::move(row));
-    }
     return Project(stmt, bindings, result);
   }
 
@@ -565,14 +549,12 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
   // Each candidate block merges independently against the shared sorted
   // off-chain rows (read-only); per-block buffers concatenate in block order.
   const std::vector<size_t> cand_bids = candidates.SetBits();
-  std::vector<RowVec> buffers;
-  s = sql_internal::ParallelMapOrdered<RowVec>(
-      pool_, cand_bids.size(),
+  s = pipeline.Run(
+      cand_bids.size(),
       [&](size_t i, RowVec* out) -> Status {
         const size_t bid = cand_bids[i];
         LayeredIndex::Cursor onit = on_index->Seek(bid, nullptr);
         size_t off_i = 0;
-        Status ps;
         while (onit.Valid() && off_i < off_sorted.size()) {
           int cmp = onit.key().CompareTotal(off_sorted[off_i][off_idx]);
           if (cmp < 0) {
@@ -583,23 +565,16 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
             off_i++;
             continue;
           }
-          Value key = onit.key();
-          std::vector<uint32_t> on_pos;
-          while (onit.Valid() && onit.key().CompareTotal(key) == 0) {
-            on_pos.push_back(onit.value());
-            onit.Next();
-          }
-          size_t off_start = off_i;
+          const size_t off_start = off_i;
           while (off_i < off_sorted.size() &&
-                 off_sorted[off_i][off_idx].CompareTotal(key) == 0) {
+                 off_sorted[off_i][off_idx].CompareTotal(onit.key()) == 0) {
             off_i++;
           }
-          for (uint32_t pos : on_pos) {
-            std::shared_ptr<const Transaction> txn;
-            ps = store_->ReadTransaction(bid, pos, &txn);
-            if (!ps.ok()) return ps;
-            std::vector<Value> on_row =
-                TxnToRow(*txn, on_schema.num_columns());
+          RowVec on_rows;
+          Status ps = ReadGroup(pipeline, bid, &onit, on_schema.num_columns(),
+                                &on_rows);
+          if (!ps.ok()) return ps;
+          for (const auto& on_row : on_rows) {
             for (size_t j = off_start; j < off_i; j++) {
               ps = emit(on_row, off_sorted[j], out);
               if (!ps.ok()) return ps;
@@ -610,11 +585,8 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
         }
         return onit.status();
       },
-      &buffers);
+      &result->rows);
   if (!s.ok()) return s;
-  for (auto& buffer : buffers) {
-    for (auto& row : buffer) result->rows.push_back(std::move(row));
-  }
   return Project(stmt, bindings, result);
 }
 

@@ -17,14 +17,6 @@ Slice BufferManager::PageRef::payload() const {
   return Slice(frame_->data.data() + kPageHeaderSize, frame_->payload_len);
 }
 
-void BufferManager::PageRef::Release() {
-  if (frame_ != nullptr) {
-    frame_.reset();
-    pinned_->fetch_sub(1, std::memory_order_relaxed);
-    pinned_ = nullptr;
-  }
-}
-
 BufferManager::BufferManager(BufferPoolOptions options)
     : options_(options),
       env_(options.env != nullptr ? options.env : Env::Default()),
@@ -83,7 +75,7 @@ void BufferManager::DropFile(FileId id) {
 
 Status BufferManager::Pin(FileId file, PageId page, PageRef* out) {
   if (auto frame = clean_.Lookup(FrameKey(file, page))) {
-    *out = PageRef(&pinned_, std::move(frame));
+    *out = PageRef(std::move(frame));
     return Status::OK();
   }
   const ReadableFile* reader = nullptr;
@@ -100,7 +92,7 @@ Status BufferManager::Pin(FileId file, PageId page, PageRef* out) {
     }
     if (page >= fs->flushed_pages) {
       dirty_hits_++;
-      *out = PageRef(&pinned_, fs->dirty[page - fs->flushed_pages]);
+      *out = PageRef(fs->dirty[page - fs->flushed_pages]);
       return Status::OK();
     }
     misses_++;
@@ -128,7 +120,7 @@ Status BufferManager::Pin(FileId file, PageId page, PageRef* out) {
   // A concurrent fault of the same page may insert too; the copies are
   // identical and the later one replaces the earlier.
   clean_.Insert(FrameKey(file, page), frame, kPageSize);
-  *out = PageRef(&pinned_, std::move(frame));
+  *out = PageRef(std::move(frame));
   return Status::OK();
 }
 
@@ -215,7 +207,6 @@ BufferManager::Stats BufferManager::stats() const {
   out.dirty_writes = dirty_writes_;
   out.dirty = dirty_bytes_ / kPageSize;
   out.pages = clean.entries + out.dirty;
-  out.pinned = pinned_.load(std::memory_order_relaxed);
   out.usage = clean.usage + dirty_bytes_;
   out.capacity = options_.capacity_bytes;
   for (const auto& fs : files_) {

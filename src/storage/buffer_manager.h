@@ -15,7 +15,6 @@
 // checkpoint files exactly like block segments. Internally synchronized.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,7 +49,6 @@ class BufferManager {
     uint64_t evictions = 0;
     uint64_t dirty_writes = 0;  // pages written by Flush
     uint64_t pages = 0;         // frames resident (clean + dirty)
-    uint64_t pinned = 0;        // live PageRefs
     uint64_t dirty = 0;         // frames awaiting Flush
     uint64_t usage = 0;         // resident bytes (clean + dirty)
     uint64_t capacity = 0;
@@ -83,32 +81,20 @@ class BufferManager {
   class PageRef {
    public:
     PageRef() = default;
-    ~PageRef() { Release(); }
-    PageRef(PageRef&& other) noexcept { *this = std::move(other); }
-    PageRef& operator=(PageRef&& other) noexcept {
-      if (this != &other) {
-        Release();
-        pinned_ = other.pinned_;
-        frame_ = std::move(other.frame_);
-        other.pinned_ = nullptr;
-      }
-      return *this;
-    }
+    PageRef(PageRef&&) noexcept = default;
+    PageRef& operator=(PageRef&&) noexcept = default;
     PageRef(const PageRef&) = delete;
     PageRef& operator=(const PageRef&) = delete;
 
     bool valid() const { return frame_ != nullptr; }
     PageType type() const;
     Slice payload() const;
-    void Release();
+    void Release() { frame_.reset(); }
 
    private:
     friend class BufferManager;
-    PageRef(std::atomic<uint64_t>* pinned, std::shared_ptr<const Frame> frame)
-        : pinned_(pinned), frame_(std::move(frame)) {
-      pinned_->fetch_add(1, std::memory_order_relaxed);
-    }
-    std::atomic<uint64_t>* pinned_ = nullptr;  // the pool's live-ref count
+    explicit PageRef(std::shared_ptr<const Frame> frame)
+        : frame_(std::move(frame)) {}
     std::shared_ptr<const Frame> frame_;
   };
 
@@ -156,7 +142,6 @@ class BufferManager {
   BufferPoolOptions options_;
   Env* env_;
   LruCache<uint64_t, const Frame> clean_;  // flushed pages, internally locked
-  std::atomic<uint64_t> pinned_{0};
 
   mutable Mutex mu_;
   std::vector<std::unique_ptr<FileState>> files_ GUARDED_BY(mu_);

@@ -5,7 +5,10 @@
 // reopens the checked-in copy and compares Describe() with the text the
 // writer printed (tests/data/ckpt_v1.expected). The directory was written
 // with index checkpoint meta version 1 (DESIGN.md §11), so reopening it
-// exercises the versioned decode.
+// exercises the versioned decode. The writing build returned a layered
+// SELECT's rows in indexed-value order within a block; the executor now
+// returns every path's rows in position order, and the .expected SELECT
+// rows were reordered to match (the rows themselves are unchanged).
 #pragma once
 
 #include <string>

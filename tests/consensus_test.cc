@@ -326,6 +326,51 @@ TEST(TendermintTest, RejectsProposalFromNonProposer) {
   for (auto& node : nodes) node->engine->Stop();
 }
 
+// Votes from ids outside the validator set never count. v1 of {v0..v3}
+// holds v0's legitimate proposal and its own prevote; prevotes and
+// precommits from "x1" and "x2" would make the 3-of-4 quorum were they
+// counted, so v1 must not commit alone.
+TEST(TendermintTest, IgnoresVotesFromNonParticipants) {
+  SimNetwork net;
+  const std::vector<std::string> ids = {"v0", "v1", "v2", "v3"};
+  TendermintOptions tm_options;
+  tm_options.serial_txn_cost_micros = 0;
+  tm_options.propose_timeout_millis = 60000;  // no round change mid-test
+  NodeHarness<TendermintEngine> v1;
+  v1.net = &net;
+  v1.id = "v1";
+  v1.engine = std::make_unique<TendermintEngine>(
+      "v1", ids, &net, FastOptions(), v1.log.MakeFn(), tm_options);
+  TendermintEngine* engine = v1.engine.get();
+  ASSERT_TRUE(net.Register("v1", [engine](const Message& m) {
+                   engine->HandleMessage(m);
+                 }).ok());
+  ASSERT_TRUE(v1.engine->Start().ok());
+
+  std::string batch_payload;
+  EncodeBatch({MakeTxn("t", "alice", 1, {Value::Int(1)})}, &batch_payload);
+  std::string proposal;
+  PutVarint64(&proposal, 0);  // height 0, round 0: v0 proposes
+  PutVarint32(&proposal, 0);
+  PutLengthPrefixed(&proposal, batch_payload);
+  std::string vote;
+  PutVarint64(&vote, 0);
+  PutVarint32(&vote, 0);
+  const Hash256 digest = BatchDigest(batch_payload);
+  vote.append(reinterpret_cast<const char*>(digest.bytes.data()), 32);
+
+  net.Send({"tm.proposal", "v0", "v1", proposal});
+  for (const auto& outsider : {"x1", "x2"}) {
+    net.Send({"tm.prevote", outsider, "v1", vote});
+    net.Send({"tm.precommit", outsider, "v1", vote});
+  }
+  net.DrainAll();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(v1.engine->committed_batches(), 0u);
+  EXPECT_TRUE(v1.log.txns().empty());
+  v1.engine->Stop();
+}
+
 // An equivocating proposer (v0, played by the test) sends batch A to v1 and
 // v2 and batch B to v3, and votes for whichever batch each one holds. v1
 // and v2 prevote and precommit A, and v3 receives those votes before B. A

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "offchain/offchain_db.h"
 #include "sql/executor.h"
@@ -101,14 +102,20 @@ class ExecutorTest : public ::testing::Test {
     return result;
   }
 
-  // Sorted multiset of row renderings, for path-agreement comparisons.
-  static std::vector<std::string> Rendered(const ResultSet& result) {
+  // Row renderings in result order.
+  static std::vector<std::string> InOrder(const ResultSet& result) {
     std::vector<std::string> out;
     for (const auto& row : result.rows) {
       std::string line;
       for (const auto& v : row) line += v.ToString() + "|";
       out.push_back(std::move(line));
     }
+    return out;
+  }
+
+  // Sorted multiset of row renderings, for path-agreement comparisons.
+  static std::vector<std::string> Rendered(const ResultSet& result) {
+    std::vector<std::string> out = InOrder(result);
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -128,6 +135,15 @@ TEST_F(ExecutorTest, SchemaTransactionsPopulateCatalog) {
 }
 
 TEST_F(ExecutorTest, RangeQueryAllPathsAgree) {
+  // One more block whose matching amounts descend by position: every path
+  // returns a block's rows in position order, not in indexed-value order.
+  std::vector<Transaction> txns;
+  for (int amount : {44, 38, 31, 25}) {
+    txns.push_back(MakeTxn("donate", "donor9", NextTs(),
+                           {Value::Str("d9"), Value::Str("proj"),
+                            Value::Int(amount)}));
+  }
+  ASSERT_TRUE(chain_->AppendBlock(std::move(txns)).ok());
   Run("CREATE INDEX ON donate(amount)");
   const std::string q =
       "SELECT * FROM donate WHERE amount BETWEEN 25 AND 44";
@@ -138,9 +154,13 @@ TEST_F(ExecutorTest, RangeQueryAllPathsAgree) {
   ResultSet rs_scan = Run(q, scan);
   ResultSet rs_bitmap = Run(q, bitmap);
   ResultSet rs_layered = Run(q, layered);
-  EXPECT_EQ(rs_scan.num_rows(), 20u);
-  EXPECT_EQ(Rendered(rs_scan), Rendered(rs_bitmap));
-  EXPECT_EQ(Rendered(rs_scan), Rendered(rs_layered));
+  EXPECT_EQ(rs_scan.num_rows(), 24u);
+  EXPECT_EQ(InOrder(rs_scan), InOrder(rs_bitmap));
+  EXPECT_EQ(InOrder(rs_scan), InOrder(rs_layered));
+  ASSERT_EQ(rs_layered.num_rows(), 24u);
+  const size_t amount = Schema::kNumSystemColumns + 2;
+  EXPECT_EQ(rs_layered.rows[20][amount].AsInt(), 44);
+  EXPECT_EQ(rs_layered.rows[23][amount].AsInt(), 25);
 }
 
 TEST_F(ExecutorTest, AutoPathPicksLayeredWhenIndexed) {
@@ -259,6 +279,57 @@ TEST_F(ExecutorTest, OnChainJoinStrategiesAgree) {
   // Auto now picks layered-merge.
   ResultSet plan = Run("EXPLAIN " + q);
   EXPECT_NE(plan.plan.find("layered-merge"), std::string::npos) << plan.plan;
+}
+
+// The layered-merge join reads each matched transaction once: an equal-key
+// group of two rows on each side of a block pair is fetched once per side,
+// not once per left row and again per (left, right) pair. The window keeps
+// the join to that one block, so no transaction is in two pairs.
+TEST_F(ExecutorTest, MergeJoinReadsEachTxnOnce) {
+  const Timestamp start = ts_ + 1;
+  std::vector<Transaction> txns;
+  for (int i = 0; i < 2; i++) {
+    txns.push_back(MakeTxn("transfer", "org1", NextTs(),
+                           {Value::Str("proj"), Value::Str("hospital"),
+                            Value::Int(100 + i)}));
+    txns.push_back(MakeTxn("distribute", "org2", NextTs(),
+                           {Value::Str("hospital"),
+                            Value::Str("donee" + std::to_string(20 + i)),
+                            Value::Int(200 + i)}));
+  }
+  ASSERT_TRUE(chain_->AppendBlock(std::move(txns)).ok());
+  Run("CREATE INDEX ON transfer(organization)");
+  Run("CREATE INDEX ON distribute(organization)");
+
+  ExecOptions merge;
+  merge.join_strategy = JoinStrategy::kLayeredMerge;
+  StorageStats& stats = chain_->store()->stats();
+  const uint64_t reads_before =
+      stats.cache_hits.load() + stats.transactions_read.load();
+  ResultSet rs = Run(
+      "SELECT * FROM transfer, distribute ON transfer.organization = "
+      "distribute.organization WINDOW [" +
+          std::to_string(start) + ", " + std::to_string(ts_) + "]",
+      merge);
+  const uint64_t reads =
+      stats.cache_hits.load() + stats.transactions_read.load() - reads_before;
+
+  const auto column = [&](const std::string& name) {
+    return std::find(rs.columns.begin(), rs.columns.end(), name) -
+           rs.columns.begin();
+  };
+  const size_t left_tid = column("transfer.tid");
+  const size_t right_tid = column("distribute.tid");
+  ASSERT_LT(right_tid, rs.columns.size());
+  std::set<int64_t> left, right;
+  for (const auto& row : rs.rows) {
+    left.insert(row[left_tid].AsInt());
+    right.insert(row[right_tid].AsInt());
+  }
+  EXPECT_EQ(rs.num_rows(), 4u);  // the 2 x 2 group's cross product
+  EXPECT_EQ(left.size(), 2u);
+  EXPECT_EQ(right.size(), 2u);
+  EXPECT_EQ(reads, left.size() + right.size());
 }
 
 TEST_F(ExecutorTest, OnChainJoinGroundTruth) {
