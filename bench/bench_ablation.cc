@@ -98,7 +98,7 @@ void HistogramAblation(int scale) {
     Bitmap candidates = index.CandidateBlocks(&lo, &hi);
     size_t pointers = 0;
     for (size_t bid : candidates.SetBits()) {
-      std::vector<TxnPointer> hits;
+      std::vector<uint32_t> hits;
       index.SearchBlock(bid, &lo, &hi, &hits);
       pointers += hits.size();
     }

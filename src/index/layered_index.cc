@@ -157,11 +157,11 @@ LayeredIndex::Cursor LayeredIndex::Seek(BlockId bid, const Value* lo) const {
 }
 
 Status LayeredIndex::SearchBlock(BlockId bid, const Value* lo, const Value* hi,
-                                 std::vector<TxnPointer>* out) const {
+                                 std::vector<uint32_t>* out) const {
   Cursor it = Seek(bid, lo);
   for (; it.Valid(); it.Next()) {
     if (hi != nullptr && it.key().CompareTotal(*hi) > 0) break;
-    out->push_back(TxnPointer{bid, it.value()});
+    out->push_back(it.value());
   }
   return it.status();
 }

@@ -69,11 +69,13 @@ std::string QueryFingerprint(ChainManager* chain, uint64_t height) {
   for (int org = 0; org < 3; org++) {
     Value key = Value::Str("org" + std::to_string(org));
     for (uint64_t h = 0; h < height; h++) {
-      std::vector<TxnPointer> ptrs;
+      std::vector<uint32_t> ptrs;
       Status s =
           chain->indexes()->senid_index()->SearchBlock(h, &key, &key, &ptrs);
       EXPECT_TRUE(s.ok()) << "block " << h << ": " << s.ToString();
-      for (const auto& p : ptrs) fp += p.ToString();
+      for (uint32_t p : ptrs) {
+        fp += "(" + std::to_string(h) + "," + std::to_string(p) + ")";
+      }
     }
     fp += "|";
   }

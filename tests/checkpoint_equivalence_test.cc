@@ -81,6 +81,10 @@ std::string BitmapString(const Bitmap& bm) {
   return s;
 }
 
+std::string PointerString(uint64_t block, uint32_t position) {
+  return "(" + std::to_string(block) + "," + std::to_string(position) + ")";
+}
+
 // Serializes every query surface of the chain into one comparable string.
 // `seed` drives the sampled probes; the same seed must be used for every
 // configuration under comparison.
@@ -119,10 +123,10 @@ std::string Fingerprint(ChainManager* chain, uint64_t seed) {
     Value key = Value::Str("org" + std::to_string(org));
     fp += BitmapString(indexes->senid_index()->CandidateBlocks(&key, &key));
     for (uint64_t h = 0; h < height; h++) {
-      std::vector<TxnPointer> ptrs;
+      std::vector<uint32_t> ptrs;
       EXPECT_TRUE(
           indexes->senid_index()->SearchBlock(h, &key, &key, &ptrs).ok());
-      for (const auto& p : ptrs) fp += p.ToString();
+      for (uint32_t p : ptrs) fp += PointerString(h, p);
     }
   }
   for (const char* name : {"t", "u", "nope"}) {
@@ -152,9 +156,9 @@ std::string Fingerprint(ChainManager* chain, uint64_t seed) {
       Bitmap candidates = user->CandidateBlocks(&vlo, &vhi);
       fp += BitmapString(candidates);
       for (size_t bit : candidates.SetBits()) {
-        std::vector<TxnPointer> ptrs;
+        std::vector<uint32_t> ptrs;
         EXPECT_TRUE(user->SearchBlock(bit, &vlo, &vhi, &ptrs).ok());
-        for (const auto& p : ptrs) fp += p.ToString();
+        for (uint32_t p : ptrs) fp += PointerString(bit, p);
       }
     }
   }

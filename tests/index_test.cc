@@ -215,9 +215,9 @@ TEST(LayeredIndexTest, ContinuousCandidateFiltering) {
   EXPECT_TRUE(candidates.Test(1));
   EXPECT_FALSE(candidates.Test(2));
 
-  std::vector<TxnPointer> pointers;
-  ASSERT_TRUE(index.SearchBlock(1, &lo, &hi, &pointers).ok());
-  EXPECT_EQ(pointers.size(), 11u);  // 510..520 inclusive
+  std::vector<uint32_t> positions;
+  ASSERT_TRUE(index.SearchBlock(1, &lo, &hi, &positions).ok());
+  EXPECT_EQ(positions.size(), 11u);  // 510..520 inclusive
 
   // Block 2 has no entries for this index; block 0 walks 0..99 in order.
   LayeredIndex::Cursor empty = index.Seek(2, nullptr);
@@ -257,11 +257,11 @@ TEST(LayeredIndexTest, DiscreteValueLookup) {
   EXPECT_TRUE(index.BlocksWithValue(Value::Str("org2")).Test(1));
   EXPECT_FALSE(index.BlocksWithValue(Value::Str("zzz")).AnySet());
 
-  std::vector<TxnPointer> pointers;
+  std::vector<uint32_t> positions;
   Value key = Value::Str("org2");
-  ASSERT_TRUE(index.SearchBlock(0, &key, &key, &pointers).ok());
-  ASSERT_EQ(pointers.size(), 1u);
-  EXPECT_EQ(pointers[0].index, 1u);
+  ASSERT_TRUE(index.SearchBlock(0, &key, &key, &positions).ok());
+  ASSERT_EQ(positions.size(), 1u);
+  EXPECT_EQ(positions[0], 1u);
   EXPECT_EQ(index.discrete_values().size(), 2u);
 }
 
@@ -335,10 +335,9 @@ TEST(LayeredIndexTest, SecondLevelExactProperty) {
     int64_t lo = static_cast<int64_t>(rng.Uniform(1000));
     int64_t hi = lo + static_cast<int64_t>(rng.Uniform(100));
     Value vlo = Value::Int(lo), vhi = Value::Int(hi);
-    std::vector<TxnPointer> pointers;
-    ASSERT_TRUE(index.SearchBlock(0, &vlo, &vhi, &pointers).ok());
-    std::set<uint32_t> got;
-    for (const auto& pointer : pointers) got.insert(pointer.index);
+    std::vector<uint32_t> positions;
+    ASSERT_TRUE(index.SearchBlock(0, &vlo, &vhi, &positions).ok());
+    std::set<uint32_t> got(positions.begin(), positions.end());
     std::set<uint32_t> expected;
     for (uint32_t i = 0; i < values.size(); i++) {
       if (values[i] >= lo && values[i] <= hi) expected.insert(i);
